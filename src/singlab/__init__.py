@@ -37,13 +37,7 @@ from .errors import (
     SinglabError,
     UnsupportedFamily,
 )
-from .eta import (
-    GroupElementRotation,
-    eta_cotangent,
-    eta_exact,
-    eta_type_t_closed_form,
-    rotation_elements,
-)
+from .eta import eta_cotangent, eta_exact
 from .exact import cf_eval, cf_eval_pair, decimal_str, mod_inverse
 from .invariants import (
     ContractedInterval,
@@ -81,7 +75,6 @@ __all__ = [
     "CyclicQuotient",
     "DivisionByZero",
     "FamilyClosedForm",
-    "GroupElementRotation",
     "IndexOutOfRange",
     "InternalCheckError",
     "InvalidChain",
@@ -117,7 +110,6 @@ __all__ = [
     "enumerate_type_t",
     "eta_cotangent",
     "eta_exact",
-    "eta_type_t_closed_form",
     "family_minimal_graph",
     "find_type_t_substrings",
     "grow_left",
@@ -127,7 +119,6 @@ __all__ = [
     "non_minimal_graph",
     "recognize_type_t",
     "reverse_chain",
-    "rotation_elements",
     "row_limit",
     "scan",
     "seed_chain",

@@ -66,10 +66,6 @@ class CyclicQuotient:
                 f"(p, q) = ({self.p}, {self.q}) is not coprime; the action is not free"
             )
 
-    @property
-    def order(self) -> int:
-        return self.p
-
     def q_inverse(self) -> int:
         """q^(-1) mod p, in [1, p-1]."""
         return mod_inverse(self.q, self.p)

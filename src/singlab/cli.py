@@ -108,17 +108,15 @@ def _run(args: argparse.Namespace, out) -> int:
         out.write(chain_text(hj_resolve(CyclicQuotient(args.p, args.q))) + "\n")
     elif args.command == "eta":
         g = CyclicQuotient(args.p, args.q)
+        both = args.method == "both"
         if args.method in ("exact", "both"):
-            value = eta_exact(g)
-            prefix = "exact " if args.method == "both" else ""
-            out.write(f"{prefix}{value}\n")
+            exact = eta_exact(g)
+            out.write(f"{'exact ' if both else ''}{exact}\n")
         if args.method in ("cotangent", "both"):
-            value = eta_cotangent(g)
-            prefix = "cotangent " if args.method == "both" else ""
-            out.write(f"{prefix}{decimal_str(value)}\n")
-        if args.method == "both":
-            diff = abs(eta_cotangent(g) - float(eta_exact(g)))
-            out.write(f"difference {diff:.3e}\n")
+            cotangent = eta_cotangent(g)
+            out.write(f"{'cotangent ' if both else ''}{decimal_str(cotangent)}\n")
+        if both:
+            out.write(f"difference {abs(cotangent - float(exact)):.3e}\n")
     elif args.command == "invariants":
         g = CyclicQuotient(args.p, args.q)
         cfg = configuration(g, [_parse_interval(t) for t in args.contract])
@@ -143,14 +141,12 @@ def _run(args: argparse.Namespace, out) -> int:
             p_max=args.p_max,
             mode=args.mode,
             positive_only=args.positive,
-            output_format=args.format,
             workers=args.workers,
             max_contractions=args.max_contractions,
             dedup_conjugate=args.dedup_conjugate,
         )
-        rows = scan(query)
         renderer = {"table": render_table, "json": render_json, "csv": render_csv}
-        out.write(renderer[query.output_format](rows))
+        out.write(renderer[args.format](scan(query)))
     return 0
 
 

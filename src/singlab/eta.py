@@ -18,44 +18,13 @@ other:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import cos, pi, sin
 
 from .chains import CyclicQuotient, hj_resolve
-from .type_t_params import TypeTParams
 
-__all__ = [
-    "GroupElementRotation",
-    "rotation_elements",
-    "eta_exact",
-    "eta_cotangent",
-    "eta_type_t_closed_form",
-]
-
-
-@dataclass(frozen=True)
-class GroupElementRotation:
-    """Rotation data of the j-th power of the generator of (1/p)(1,q).
-
-    Both angles lie in (0, 2*pi): the generator acts with rotation numbers
-    2*pi*j/p and 2*pi*(j*q mod p)/p on the two complex lines, and neither is
-    a full rotation because gcd(p, q) = 1 keeps j*q off p*Z for 0 < j < p.
-    """
-
-    j: int
-    angle1: float
-    angle2: float
-
-
-def rotation_elements(g: CyclicQuotient) -> list[GroupElementRotation]:
-    """Rotation numbers of every nontrivial element of (1/p)(1,q)."""
-    p, q = g.p, g.q
-    return [
-        GroupElementRotation(j, 2.0 * pi * j / p, 2.0 * pi * ((j * q) % p) / p)
-        for j in range(1, p)
-    ]
+__all__ = ["eta_exact", "eta_cotangent"]
 
 
 def eta_exact(g: CyclicQuotient) -> Fraction:
@@ -88,10 +57,3 @@ def eta_cotangent(g: CyclicQuotient) -> float:
         total = t
     return total / p
 
-
-def eta_type_t_closed_form(t: TypeTParams) -> Fraction:
-    """Exact eta invariant of a T(r,s,d) boundary: (1/3)(3 - s - 2/(r^2 s)).
-
-    Independent of d: conjugate parameters present the same singularity.
-    """
-    return Fraction(3 - t.s - Fraction(2, t.r * t.r * t.s), 3)

@@ -19,7 +19,6 @@ wrapping silently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .errors import DivisionByZero, NotInvertible
@@ -73,7 +72,3 @@ def decimal_str(value: Fraction | int | float, significant: int = 15) -> str:
     """Render a rational as a decimal string with the given significant digits."""
     return f"{float(value):.{significant}g}"
 
-
-def coprime(a: int, b: int) -> bool:
-    """True iff gcd(a, b) = 1."""
-    return gcd(a, b) == 1

@@ -29,7 +29,7 @@ from .errors import (
     SinglabError,
     UnsupportedFamily,
 )
-from .type_t import TypeTParams, recognize_type_t, type_t_string
+from .type_t import TypeTParams, _params_of_pair, recognize_type_t, type_t_string
 
 __all__ = [
     "ContractedInterval",
@@ -190,17 +190,9 @@ def find_type_t_substrings(
         num, den = 0, 1
         for a in range(b, -1, -1):
             num, den = den, chain[a] * den - num
-            q, p = num, den
-            r = 2
-            while r * r <= p:
-                if p % (r * r) == 0:
-                    s = p // (r * r)
-                    if (q + 1) % (r * s) == 0:
-                        d = (q + 1) // (r * s)
-                        if 1 <= d <= r - 1 and gcd(r, d) == 1:
-                            found.append((a, b, TypeTParams(r, s, d)))
-                            break
-                r += 1
+            params = _params_of_pair(num, den)
+            if params is not None:
+                found.append((a, b, params))
     found.sort()
     return found
 
@@ -270,20 +262,12 @@ def attach_family(
 
 
 _FAMILY_GRAPHS = {
-    # (m, s) -> tail of the minimal-resolution graph after the 2-run
-    (1, 1): lambda r: (r + 2,),
-    (1, 2): lambda r: (3, r + 1),
-    (1, 3): lambda r: (3, 2, r + 1),
-    (2, 1): lambda r: (r + 2,),
-    (3, 1): lambda r: (r + 2,),
-}
-
-_FAMILY_TWOS = {
-    (1, 1): lambda r: r - 1,
-    (1, 2): lambda r: r - 1,
-    (1, 3): lambda r: r - 1,
-    (2, 1): lambda r: r,
-    (3, 1): lambda r: r + 1,
+    # (m, s) -> minimal-resolution graph as a function of r
+    (1, 1): lambda r: (2,) * (r - 1) + (r + 2,),
+    (1, 2): lambda r: (2,) * (r - 1) + (3, r + 1),
+    (1, 3): lambda r: (2,) * (r - 1) + (3, 2, r + 1),
+    (2, 1): lambda r: (2,) * r + (r + 2,),
+    (3, 1): lambda r: (2,) * (r + 1) + (r + 2,),
 }
 
 
@@ -298,7 +282,7 @@ def family_minimal_graph(m: int, r: int, s: int) -> ResolutionChain:
         raise UnsupportedFamily(
             f"no minimal-resolution graph for (m, r, s) = ({m}, {r}, {s})"
         )
-    return ResolutionChain((2,) * _FAMILY_TWOS[key](r) + _FAMILY_GRAPHS[key](r))
+    return ResolutionChain(_FAMILY_GRAPHS[key](r))
 
 
 def _right_attached_report(m: int, r: int, s: int) -> InvariantReport:

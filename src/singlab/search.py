@@ -57,7 +57,6 @@ class SearchQuery:
     p_max: int
     mode: str = "artin-only"
     positive_only: bool = False
-    output_format: str = "table"
     workers: int = 1
     max_contractions: int = 3
     dedup_conjugate: bool = False
@@ -67,8 +66,6 @@ class SearchQuery:
             raise SinglabError(f"need p_max >= 2, got {self.p_max}")
         if self.mode not in MODES:
             raise SinglabError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.output_format not in ("table", "json", "csv"):
-            raise SinglabError(f"unknown output format {self.output_format!r}")
         if self.workers < 1:
             raise SinglabError(f"need workers >= 1, got {self.workers}")
         if self.max_contractions < 1:
@@ -127,21 +124,26 @@ def _scan_range(args: tuple[int, int, str, int, int]) -> list[InvariantReport]:
     return rows
 
 
+def _scan_tasks(query: SearchQuery, limit: int) -> list[tuple[int, int, str, int, int]]:
+    # Split [2, p_max] into contiguous p-ranges, one per process: at most
+    # one per worker, per core and per p.
+    span = query.p_max - 1
+    n = min(query.workers, span, os.cpu_count() or 1)
+    bounds = [2 + (span * i) // n for i in range(n + 1)]
+    return [
+        (bounds[i], bounds[i + 1], query.mode, query.max_contractions, limit)
+        for i in range(n)
+    ]
+
+
 def scan(query: SearchQuery) -> list[InvariantReport]:
     """Run the scan and return its rows, sorted by (p, q, label)."""
     limit = row_limit()
-    if query.workers == 1:
-        rows = _scan_range((2, query.p_max + 1, query.mode, query.max_contractions, limit))
+    tasks = _scan_tasks(query, limit)
+    if len(tasks) == 1:
+        rows = _scan_range(tasks[0])
     else:
-        span = query.p_max - 1
-        n = min(query.workers, span)
-        bounds = [2 + (span * i) // n for i in range(n + 1)]
-        tasks = [
-            (bounds[i], bounds[i + 1], query.mode, query.max_contractions, limit)
-            for i in range(n)
-            if bounds[i] < bounds[i + 1]
-        ]
-        with ProcessPoolExecutor(max_workers=n) as pool:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             rows = [row for part in pool.map(_scan_range, tasks) for row in part]
     if len(rows) > limit:
         raise RowLimitExceeded(f"scan exceeded SINGLAB_ROW_LIMIT = {limit} rows")

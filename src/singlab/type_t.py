@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from .chains import CyclicQuotient, ResolutionChain, hj_resolve
 from .errors import InternalCheckError, NonMinimalChain, SinglabError
 from .exact import cf_eval_pair
-from .type_t_params import TypeTParams
 
 __all__ = [
     "TypeTParams",
@@ -32,6 +31,38 @@ __all__ = [
     "TypeTInvariants",
     "conjugate",
 ]
+
+
+@dataclass(frozen=True)
+class TypeTParams:
+    """Parameters of the singularity (1/(r^2 s))(1, r s d - 1).
+
+    d is canonicalized into [1, r-1] at construction (d and d + r present
+    the same group mod r^2 s), which makes params <-> group a bijection.
+    Requires r >= 2, s >= 1 and gcd(r, d) = 1.
+    """
+
+    r: int
+    s: int
+    d: int
+
+    def __post_init__(self) -> None:
+        if self.r < 2:
+            raise SinglabError(f"need r >= 2, got r={self.r}")
+        if self.s < 1:
+            raise SinglabError(f"need s >= 1, got s={self.s}")
+        object.__setattr__(self, "d", self.d % self.r)
+        if self.d == 0 or gcd(self.r, self.d) != 1:
+            raise SinglabError(
+                f"d must be invertible mod r, got (r, d) = ({self.r}, {self.d})"
+            )
+
+    @property
+    def group_order(self) -> int:
+        return self.r * self.r * self.s
+
+    def label(self) -> str:
+        return f"T({self.r},{self.s},{self.d})"
 
 
 def type_t_group(t: TypeTParams) -> CyclicQuotient:
@@ -106,11 +137,10 @@ def enumerate_type_t(
     return out
 
 
-def _recognize_arithmetic(chain: Sequence[int]) -> Optional[TypeTParams]:
-    # (p, q) = chain value; look for r >= 2 with r^2 | p, s = p/r^2,
-    # rs | q+1 and d = (q+1)/(rs) a valid parameter.  The parameterization
-    # is a bijection, so at most one r can succeed.
-    q, p = cf_eval_pair(chain)
+def _params_of_pair(q: int, p: int) -> Optional[TypeTParams]:
+    # The type-T test on a chain value q/p: look for r >= 2 with r^2 | p,
+    # s = p/r^2, rs | q+1 and d = (q+1)/(rs) a valid parameter.  The
+    # parameterization is a bijection, so at most one r can succeed.
     r = 2
     while r * r <= p:
         if p % (r * r) == 0:
@@ -124,35 +154,24 @@ def _recognize_arithmetic(chain: Sequence[int]) -> Optional[TypeTParams]:
 
 
 def _peel_to_seed(chain: Sequence[int]) -> Optional[int]:
-    # Invert the grow moves with backtracking (both inverses can apply when
-    # the chain starts and ends with 2); prune any branch that would push an
-    # entry below 2.  Returns the s of the seed reached, else None.
-    def is_seed(c: tuple[int, ...]) -> bool:
-        k = len(c)
-        if k == 1:
-            return c == (4,)
-        return c[0] == 3 and c[-1] == 3 and all(e == 2 for e in c[1:-1])
-
-    stack = [tuple(chain)]
-    visited = set()
-    while stack:
-        c = stack.pop()
-        if c in visited:
-            continue
-        visited.add(c)
-        if is_seed(c):
-            return len(c) if len(c) >= 2 else 1
+    # Undo grow moves until a seed is reached.  Undoing grow_left needs
+    # c[0] == 2 and undoing grow_right needs c[0] >= 3, so at most one move
+    # applies at each step, and on a minimal chain neither pushes an entry
+    # below 2.  Returns the s of the seed reached, else None.
+    c = tuple(chain)
+    while True:
+        if c == (4,):
+            return 1
         if len(c) < 2:
-            continue
+            return None
+        if c[0] == 3 and c[-1] == 3 and all(e == 2 for e in c[1:-1]):
+            return len(c)
         if c[0] == 2 and c[-1] >= 3:
-            undone = c[1:-1] + (c[-1] - 1,)
-            if all(e >= 2 for e in undone):
-                stack.append(undone)
-        if c[-1] == 2 and c[0] >= 3:
-            undone = (c[0] - 1,) + c[1:-1]
-            if all(e >= 2 for e in undone):
-                stack.append(undone)
-    return None
+            c = c[1:-1] + (c[-1] - 1,)
+        elif c[-1] == 2 and c[0] >= 3:
+            c = (c[0] - 1,) + c[1:-1]
+        else:
+            return None
 
 
 def recognize_type_t(chain: ResolutionChain) -> Optional[TypeTParams]:
@@ -167,7 +186,7 @@ def recognize_type_t(chain: ResolutionChain) -> Optional[TypeTParams]:
         raise NonMinimalChain(
             f"type-T recognition needs a minimal chain, got {tuple(chain)}"
         )
-    params = _recognize_arithmetic(chain)
+    params = _params_of_pair(*cf_eval_pair(chain))
     seed_s = _peel_to_seed(chain)
     if (params is None) != (seed_s is None):
         raise InternalCheckError(

@@ -35,7 +35,6 @@ from singlab import (
     enumerate_type_t,
     eta_cotangent,
     eta_exact,
-    eta_type_t_closed_form,
     hj_resolve,
     mod_inverse,
     non_minimal_graph,
@@ -96,7 +95,7 @@ def test_criterion_02a_type_t_eta_and_c_closed_forms():
             for d in _valid_d(r):
                 t = TypeTParams(r, s, d)
                 g = type_t_group(t)
-                ok &= eta_exact(g) == eta_type_t_closed_form(t)
+                ok &= eta_exact(g) == type_t_invariants(t).eta
                 chain = hj_resolve(g)
                 rep = configuration_invariants(configuration(g, [(0, len(chain) - 1)]))
                 ok &= rep.b2 == s - 1 and rep.c_value == Fraction(4, g.p)

@@ -38,7 +38,7 @@ def test_quotient_validation():
     with pytest.raises(SinglabError):
         CyclicQuotient(5, 5)
     g = CyclicQuotient(5, 2)
-    assert (g.p, g.q, g.order) == (5, 2, 5)
+    assert (g.p, g.q) == (5, 2)
     assert g.q_inverse() == 3
 
 

@@ -107,6 +107,8 @@ def test_search_formats(capsys):
     assert code == 0 and "artin" in out
     code, _, _ = run(capsys, "search", "--p-max", "5", "--mode", "bogus")
     assert code == 2
+    code, _, _ = run(capsys, "search", "--p-max", "5", "--format", "xml")
+    assert code == 2
 
 
 def test_search_row_limit_exit_code(capsys, monkeypatch):

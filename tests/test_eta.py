@@ -1,15 +1,14 @@
 from fractions import Fraction
-from math import gcd, pi
+from math import gcd
 
 from singlab import (
     CyclicQuotient,
     TypeTParams,
     eta_cotangent,
     eta_exact,
-    eta_type_t_closed_form,
     mod_inverse,
-    rotation_elements,
     type_t_group,
+    type_t_invariants,
 )
 
 
@@ -27,17 +26,6 @@ def test_eta_cotangent_examples():
     assert abs(eta_cotangent(CyclicQuotient(2, 1))) < 1e-12
     assert abs(eta_cotangent(CyclicQuotient(3, 1)) - 2 / 9) < 1e-12
     assert abs(eta_cotangent(CyclicQuotient(5, 2))) < 1e-12
-
-
-def test_rotation_elements():
-    g = CyclicQuotient(5, 2)
-    elems = rotation_elements(g)
-    assert [e.j for e in elems] == [1, 2, 3, 4]
-    for e in elems:
-        assert 0 < e.angle1 < 2 * pi
-        assert 0 < e.angle2 < 2 * pi
-        assert abs(e.angle1 - 2 * pi * e.j / 5) < 1e-15
-        assert abs(e.angle2 - 2 * pi * ((2 * e.j) % 5) / 5) < 1e-15
 
 
 def test_oracle_agreement_small():
@@ -60,10 +48,10 @@ def test_inverse_symmetry_small():
 
 
 def test_type_t_closed_form_examples():
-    assert eta_type_t_closed_form(TypeTParams(2, 1, 1)) == Fraction(1, 2)
-    assert eta_type_t_closed_form(TypeTParams(3, 1, 1)) == Fraction(16, 27)
-    assert eta_type_t_closed_form(TypeTParams(2, 2, 1)) == Fraction(1, 4)
-    assert eta_type_t_closed_form(TypeTParams(2, 3, 1)) == Fraction(-1, 18)
+    assert type_t_invariants(TypeTParams(2, 1, 1)).eta == Fraction(1, 2)
+    assert type_t_invariants(TypeTParams(3, 1, 1)).eta == Fraction(16, 27)
+    assert type_t_invariants(TypeTParams(2, 2, 1)).eta == Fraction(1, 4)
+    assert type_t_invariants(TypeTParams(2, 3, 1)).eta == Fraction(-1, 18)
 
 
 def test_type_t_closed_form_matches_eta_exact():
@@ -73,4 +61,4 @@ def test_type_t_closed_form_matches_eta_exact():
                 if gcd(r, d) != 1:
                     continue
                 t = TypeTParams(r, s, d)
-                assert eta_exact(type_t_group(t)) == eta_type_t_closed_form(t)
+                assert eta_exact(type_t_group(t)) == type_t_invariants(t).eta

@@ -19,6 +19,7 @@ from singlab import (
     family_minimal_graph,
     find_type_t_substrings,
     hj_resolve,
+    recognize_type_t,
     theorem_tables,
     type_t_string,
 )
@@ -97,6 +98,21 @@ def test_find_type_t_substrings():
         assert chain_to_quotient(
             ResolutionChain((3, 2, 4, 2, 4)[a : b + 1])
         ) == CyclicQuotient(params.group_order, params.r * params.s * params.d - 1)
+    # the sweep and recognize_type_t share one arithmetic test; on every
+    # minimal chain with p <= 60 they agree interval by interval (and
+    # recognize_type_t also runs the peeling check on each substring)
+    for p in range(2, 61):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            chain = hj_resolve(CyclicQuotient(p, q))
+            expected = [
+                (a, b, params)
+                for a in range(len(chain))
+                for b in range(a, len(chain))
+                if (params := recognize_type_t(ResolutionChain(chain[a : b + 1])))
+            ]
+            assert find_type_t_substrings(chain) == expected
 
 
 def test_attach_family_examples():

@@ -10,7 +10,7 @@ from singlab import (
     scan,
 )
 from singlab.render import render_csv, render_json, render_table
-from singlab.search import row_limit
+from singlab.search import _scan_tasks, row_limit
 
 
 def test_query_validation():
@@ -18,8 +18,6 @@ def test_query_validation():
         SearchQuery(p_max=1)
     with pytest.raises(SinglabError):
         SearchQuery(p_max=5, mode="everything")
-    with pytest.raises(SinglabError):
-        SearchQuery(p_max=5, output_format="xml")
     with pytest.raises(SinglabError):
         SearchQuery(p_max=5, workers=0)
     with pytest.raises(SinglabError):
@@ -92,6 +90,24 @@ def test_scan_determinism_and_workers():
     assert render_csv(rows1) == render_csv(rows2)
     assert render_table(rows1) == render_table(rows2)
     assert rows1 == sorted(rows1, key=lambda r: (r.p, r.q, r.label))
+
+
+def test_scan_processes_capped_at_cores(monkeypatch):
+    # Inspects the task list only; no process is started.
+    def processes(cores, **kw):
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        tasks = _scan_tasks(SearchQuery(p_max=200, **kw), 99)
+        assert tasks[0][0] == 2 and tasks[-1][1] == 201
+        assert all(t[1] == u[0] for t, u in zip(tasks, tasks[1:]))
+        return len(tasks)
+
+    assert processes(2, workers=64) == 2
+    assert processes(2, workers=2) == 2
+    assert processes(8, workers=3) == 3
+    assert processes(None, workers=4) == 1
+    assert processes(2) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    assert len(_scan_tasks(SearchQuery(p_max=3, workers=8), 99)) == 2
 
 
 def test_row_limit_guard(monkeypatch):
