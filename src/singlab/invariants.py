@@ -11,13 +11,16 @@ The central quantity is
 
 computed here by two independent routes (through the exact eta invariant,
 and through the chain sums 2 + (k - b2) - sum(e_i - 2) + (2 - q^(-1;p) - q)/p)
-that are required to agree on every report.
+that are required to agree on every report.  Both routes are evaluated as
+integer numerators over p, using 3*p*eta = p*sum(e) + q^(-1;p) + q - 3*k*p;
+Fractions are built only for the report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import Sequence
 
@@ -26,6 +29,7 @@ from .errors import (
     InternalCheckError,
     InvalidConfiguration,
     MismatchError,
+    NonMinimalChain,
     SinglabError,
     UnsupportedFamily,
 )
@@ -145,31 +149,32 @@ def configuration(
 def configuration_invariants(cfg: ResolutionConfiguration) -> InvariantReport:
     """Invariant report with C computed by both routes (they must agree)."""
     g = cfg.quotient
+    p, q = g.p, g.q
     chain = cfg.chain
     k = len(chain)
     sum_e = sum(chain)
     q_inv = g.q_inverse()
-    eta = Fraction(sum_e + Fraction(q_inv + g.q, g.p), 3) - k
     b2 = cfg.b2
-    c_from_eta = 2 - b2 + Fraction(2, g.p) - 3 * eta
-    c_from_sums = (
-        2 + (k - b2) - (sum_e - 2 * k) + Fraction(2 - q_inv - g.q, g.p)
-    )
+    # Both routes as integer numerators over p: 3*p*eta = eta_num.
+    eta_num = p * sum_e + q_inv + q - 3 * k * p
+    c_from_eta = (2 - b2) * p + 2 - eta_num
+    c_from_sums = (2 + 3 * k - b2 - sum_e) * p + 2 - q_inv - q
     if c_from_eta != c_from_sums:
         raise InternalCheckError(
-            f"C cross-check failed for (p, q) = ({g.p}, {g.q}), "
-            f"label {cfg.label()}: {c_from_eta} != {c_from_sums}"
+            f"C cross-check failed for (p, q) = ({p}, {q}), "
+            f"label {cfg.label()}: {Fraction(c_from_eta, p)} != "
+            f"{Fraction(c_from_sums, p)}"
         )
     return InvariantReport(
-        p=g.p,
-        q=g.q,
+        p=p,
+        q=q,
         chain=chain,
         k=k,
         sum_e=sum_e,
         q_inv=q_inv,
-        eta=eta,
+        eta=Fraction(eta_num, 3 * p),
         b2=b2,
-        c_value=c_from_eta,
+        c_value=Fraction(c_from_eta, p),
         positive=c_from_eta > 0,
         label=cfg.label(),
     )
@@ -180,17 +185,32 @@ def find_type_t_substrings(
 ) -> list[tuple[int, int, TypeTParams]]:
     """All (start, stop, params) with chain[start..stop] a type-T substring.
 
-    Scans every interval with an incremental continued-fraction recurrence
-    (extending the bracket one entry to the left costs O(1) integer work),
-    so the whole sweep is O(k^2) plus a divisor test per interval.
+    The chain must be minimal (every entry >= 2); otherwise NonMinimalChain
+    is raised, as recognize_type_t does.  Every interval is visited with an
+    incremental continued-fraction recurrence (extending the bracket one entry
+    to the left costs O(1) integer work) and its entry sum comes from prefix
+    sums, so each interval costs O(1) and the sweep is O(k^2).  Intervals with
+    a 2 at both ends are skipped: seeds end in entries >= 3 and each grow move
+    puts a 2 at exactly one end, so no such interval is type T.
     """
-    k = len(chain)
+    if not all(e >= 2 for e in chain):
+        raise NonMinimalChain(
+            f"the type-T sweep needs a minimal chain, got {tuple(chain)}"
+        )
+    # s of chain[a..b] is 2 + 3*(b-a+1) - sum(chain[a..b]) = top_b + base[a]
+    # with top_b = 2 + 3*(b+1) - prefix[b+1] and base[a] = prefix[a] - 3*a.
+    prefix = [0, *accumulate(chain)]
+    base = [prefix[a] - 3 * a for a in range(len(chain))]
     found = []
-    for b in range(k):
+    for b, last in enumerate(chain):
+        top = 2 + 3 * (b + 1) - prefix[b + 1]
         num, den = 0, 1
         for a in range(b, -1, -1):
-            num, den = den, chain[a] * den - num
-            params = _params_of_pair(num, den)
+            first = chain[a]
+            num, den = den, first * den - num
+            if first == 2 and last == 2:
+                continue
+            params = _params_of_pair(num, den, top + base[a])
             if params is not None:
                 found.append((a, b, params))
     found.sort()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from .chains import CyclicQuotient, ResolutionChain, hj_resolve
@@ -137,19 +137,22 @@ def enumerate_type_t(
     return out
 
 
-def _params_of_pair(q: int, p: int) -> Optional[TypeTParams]:
-    # The type-T test on a chain value q/p: look for r >= 2 with r^2 | p,
-    # s = p/r^2, rs | q+1 and d = (q+1)/(rs) a valid parameter.  The
-    # parameterization is a bijection, so at most one r can succeed.
-    r = 2
-    while r * r <= p:
-        if p % (r * r) == 0:
-            s = p // (r * r)
-            if (q + 1) % (r * s) == 0:
-                d = (q + 1) // (r * s)
-                if 1 <= d <= r - 1 and gcd(r, d) == 1:
-                    return TypeTParams(r, s, d)
-        r += 1
+def _params_of_pair(q: int, p: int, s: int) -> Optional[TypeTParams]:
+    # The type-T test on a chain of value q/p whose entries e satisfy
+    # s = 2 + 3*len - sum(e).  Every type-T chain obeys that sum law with its
+    # own s (each seed does, and each grow move adds 1 to the length and 3 to
+    # the sum), so only r = isqrt(p/s) can work: no search over r is needed.
+    # The test is sound for any s: acceptance means p = r^2 s and
+    # q = r s d - 1 with d valid, i.e. q/p is the group of T(r,s,d), and a
+    # minimal chain of that value is the (unique) chain of T(r,s,d).
+    if s < 1:
+        return None
+    r = isqrt(p // s)
+    if r < 2 or r * r * s != p or (q + 1) % (r * s):
+        return None
+    d = (q + 1) // (r * s)
+    if 1 <= d <= r - 1 and gcd(r, d) == 1:
+        return TypeTParams(r, s, d)
     return None
 
 
@@ -186,7 +189,8 @@ def recognize_type_t(chain: ResolutionChain) -> Optional[TypeTParams]:
         raise NonMinimalChain(
             f"type-T recognition needs a minimal chain, got {tuple(chain)}"
         )
-    params = _params_of_pair(*cf_eval_pair(chain))
+    q, p = cf_eval_pair(chain)
+    params = _params_of_pair(q, p, 2 + 3 * len(chain) - sum(chain))
     seed_s = _peel_to_seed(chain)
     if (params is None) != (seed_s is None):
         raise InternalCheckError(

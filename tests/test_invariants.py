@@ -2,10 +2,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from singlab import (
     CyclicQuotient,
     InvalidConfiguration,
+    NonMinimalChain,
     ResolutionChain,
     SinglabError,
     TypeTParams,
@@ -106,13 +108,57 @@ def test_find_type_t_substrings():
             if gcd(p, q) != 1:
                 continue
             chain = hj_resolve(CyclicQuotient(p, q))
-            expected = [
-                (a, b, params)
-                for a in range(len(chain))
-                for b in range(a, len(chain))
-                if (params := recognize_type_t(ResolutionChain(chain[a : b + 1])))
-            ]
-            assert find_type_t_substrings(chain) == expected
+            assert find_type_t_substrings(chain) == _sweep_by_recognition(chain)
+
+
+def test_find_type_t_substrings_needs_minimal_chain():
+    # (2,6,3,1,2) has the value of T(3,1,2) but contains a (-1)-curve
+    with pytest.raises(NonMinimalChain):
+        find_type_t_substrings((2, 6, 3, 1, 2))
+    with pytest.raises(NonMinimalChain):
+        find_type_t_substrings((3, 0))
+
+
+def _sweep_by_recognition(chain):
+    return [
+        (a, b, params)
+        for a in range(len(chain))
+        for b in range(a, len(chain))
+        if (params := recognize_type_t(ResolutionChain(chain[a : b + 1])))
+    ]
+
+
+@given(st.integers(2, 10**6), st.integers(1, 10**6))
+def test_find_type_t_substrings_at_large_p(p, q0):
+    q = q0 % p
+    assume(q != 0 and gcd(p, q) == 1)
+    chain = hj_resolve(CyclicQuotient(p, q))
+    assume(len(chain) <= 60)
+    found = find_type_t_substrings(chain)
+    assert found == _sweep_by_recognition(chain)
+    for a, b, params in found:
+        sub = chain[a : b + 1]
+        assert sum(sub) - 3 * len(sub) == 2 - params.s
+        assert not (sub[0] == 2 and sub[-1] == 2)
+
+
+def test_find_type_t_substrings_on_runs_of_twos():
+    # the chains the end rule prunes: every interval inside a run of 2s
+    assert find_type_t_substrings((2,) * 300) == []
+    chain = hj_resolve(CyclicQuotient(3001, 3000))
+    assert chain == (2,) * 3000
+    assert find_type_t_substrings(chain) == []
+    # (2,)*k + (e,) holds one type-T substring, (2,)*(e-4) + (e,) = T(e-2,1,e-3),
+    # when e >= 4 and k >= e - 4
+    for k in (0, 1, 5, 30):
+        for e in range(2, 40):
+            chain = (2,) * k + (e,)
+            found = find_type_t_substrings(chain)
+            assert found == _sweep_by_recognition(chain)
+            if 4 <= e <= k + 4:
+                assert found == [(k + 4 - e, k, TypeTParams(e - 2, 1, e - 3))]
+            else:
+                assert found == []
 
 
 def test_attach_family_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -90,6 +91,49 @@ def test_scan_determinism_and_workers():
     assert render_csv(rows1) == render_csv(rows2)
     assert render_table(rows1) == render_table(rows2)
     assert rows1 == sorted(rows1, key=lambda r: (r.p, r.q, r.label))
+
+
+# sha256 of each renderer's output over scan(SearchQuery(p_max=60, mode=m)),
+# recorded before the O(1) type-T test and the integer C landed; any change
+# to a row, its order or its formatting changes a digest.
+GOLDEN_P60 = {
+    "artin-only": (
+        1101,
+        "c4511f40fb10d2d1468a9876649aebbd48c9c4321cf821d0f6b6dd91c1e36602",
+        "6f27793a3fc751d2db24405fc1ace022109ccf88099be1b849c9da21d96ff162",
+        "b04f74cf7266c1e950d8884317adfef8669a5e7ddd015ebf31e2889ce15fa9da",
+    ),
+    "single-contraction": (
+        1866,
+        "9ce4814f8bc94bae0db10735f3c23c88f3923fab5785298fe03942d227d176e7",
+        "2b3f194c82f272678c72139b00bcc6cb0416e9ec4f46c5d7305f354905141518",
+        "3f6a8a98eaa75fc4544e4ee7e979eec611adab609ea8216d778559ca8bb371eb",
+    ),
+    "multi-contraction": (
+        1932,
+        "a9a701d4a2644610024a942437a9d4f5aa03068b6f7078182f11599de8776b63",
+        "a57aa2428c4f174a1a5a422663519523609ec50b6ab091befe8522047f2d2fa2",
+        "78a56a31ccd494ad36eac90c42c6a152ef92c5b67f57e4a5734fc734d060f50c",
+    ),
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "mode, workers",
+    [("artin-only", 1), ("single-contraction", 1), ("multi-contraction", 1),
+     ("multi-contraction", 2)],
+)
+def test_golden_output_digests(mode, workers):
+    rows = scan(SearchQuery(p_max=60, mode=mode, workers=workers))
+    count, table, json_, csv_ = GOLDEN_P60[mode]
+    assert len(rows) == count
+    assert _digest(render_table(rows)) == table
+    assert _digest(render_json(rows)) == json_
+    assert _digest(render_csv(rows)) == csv_
 
 
 def test_scan_processes_capped_at_cores(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from singlab import (
     CyclicQuotient,
+    InternalCheckError,
     NonMinimalChain,
     ResolutionChain,
     SinglabError,
@@ -164,6 +165,15 @@ def test_recognizers_agree_on_small_sweep():
     for k in range(1, 5):
         for chain in itertools.product(range(2, 7), repeat=k):
             recognize_type_t(ResolutionChain(chain))  # raises on disagreement
+
+
+def test_recognizer_disagreement_raises(monkeypatch):
+    monkeypatch.setattr("singlab.type_t._peel_to_seed", lambda chain: None)
+    with pytest.raises(InternalCheckError):
+        recognize_type_t(ResolutionChain((4,)))
+    monkeypatch.setattr("singlab.type_t._peel_to_seed", lambda chain: 2)
+    with pytest.raises(InternalCheckError):
+        recognize_type_t(ResolutionChain((4,)))
 
 
 def test_type_t_invariants_examples():
