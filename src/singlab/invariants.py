@@ -9,11 +9,15 @@ The central quantity is
 
     C = 2 - b2 + 2/p - 3*eta(S^3/Gamma),
 
-computed here by two independent routes (through the exact eta invariant,
-and through the chain sums 2 + (k - b2) - sum(e_i - 2) + (2 - q^(-1;p) - q)/p)
-that are required to agree on every report.  Both routes are evaluated as
-integer numerators over p, using 3*p*eta = p*sum(e) + q^(-1;p) + q - 3*k*p;
-Fractions are built only for the report.
+computed here by two routes (through the exact eta invariant, and through
+the chain sums 2 + (k - b2) - sum(e_i - 2) + (2 - q^(-1;p) - q)/p) that are
+required to agree on every report.  The routes are not independent: the
+second is the first with the eta formula substituted in and rearranged, so
+the check catches a mistyped line but not a wrong formula.  An independent
+route is eta from the Dedekind sum, eta = 4*s(q, p), which is still to come.
+Both routes are evaluated as integer numerators over p, using
+3*p*eta = p*sum(e) + q^(-1;p) + q - 3*k*p; Fractions are built only for the
+report.
 """
 
 from __future__ import annotations

@@ -3,13 +3,16 @@
 A scan visits every coprime pair 2 <= p <= p_max, 1 <= q < p and emits the
 Artin report plus, depending on the mode, one report per contracted type-T
 substring of the chain (``single-contraction``) or per disjoint set of such
-substrings up to a size cap (``multi-contraction``).  Rows are sorted by
-(p, q, label), so the output is byte-identical regardless of how many
-workers produced it.  Every row re-validates the two-route C identity.
+substrings up to a size cap (``multi-contraction``).  Each p is one unit of
+work whose rows come back sorted by (q, label); the units are mapped over p
+in-process or by a process pool, whose ``map`` returns them in p order, so
+the rows are sorted by (p, q, label) and the output is byte-identical
+regardless of how many workers produced it.  Every row re-validates the C
+cross-check.
 
 The environment variable SINGLAB_ROW_LIMIT (default 10_000_000) bounds the
-number of generated rows; exceeding it aborts the scan before anything is
-emitted.
+number of generated rows.  It is checked as the units arrive; exceeding it
+cancels the pending units and aborts the scan before anything is emitted.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
 from .chains import CyclicQuotient
@@ -92,64 +96,50 @@ def _disjoint_subsets(intervals, cap):
     yield from extend(0, -1, [])
 
 
-def _pair_rows(p: int, q: int, mode: str, cap: int) -> list[InvariantReport]:
-    g = CyclicQuotient(p, q)
-    rows = [configuration_invariants(artin_configuration(g))]
-    if mode == "artin-only":
-        return rows
-    chain = rows[0].chain
-    subs = find_type_t_substrings(chain)
-    if mode == "single-contraction":
-        chosen_sets = [[iv] for iv in subs]
-    else:
-        chosen_sets = list(_disjoint_subsets(subs, cap))
-    for chosen in chosen_sets:
-        cfg = configuration(g, [(a, b) for a, b, _ in chosen])
-        rows.append(configuration_invariants(cfg))
+def _p_rows(p: int, mode: str, cap: int) -> list[InvariantReport]:
+    # Every row with this p, sorted by (q, label).
+    rows = []
+    for q in range(1, p):
+        if gcd(p, q) != 1:
+            continue
+        g = CyclicQuotient(p, q)
+        artin = configuration_invariants(artin_configuration(g))
+        rows.append(artin)
+        if mode == "artin-only":
+            continue
+        subs = find_type_t_substrings(artin.chain)
+        if mode == "single-contraction":
+            chosen_sets = [[iv] for iv in subs]
+        else:
+            chosen_sets = _disjoint_subsets(subs, cap)
+        for chosen in chosen_sets:
+            cfg = configuration(g, [(a, b) for a, b, _ in chosen])
+            rows.append(configuration_invariants(cfg))
+    rows.sort(key=lambda row: (row.q, row.label))
     return rows
-
-
-def _scan_range(args: tuple[int, int, str, int, int]) -> list[InvariantReport]:
-    p_lo, p_hi, mode, cap, limit = args
-    rows: list[InvariantReport] = []
-    for p in range(p_lo, p_hi):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            rows.extend(_pair_rows(p, q, mode, cap))
-            if len(rows) > limit:
-                raise RowLimitExceeded(
-                    f"scan exceeded SINGLAB_ROW_LIMIT = {limit} rows"
-                )
-    return rows
-
-
-def _scan_tasks(query: SearchQuery, limit: int) -> list[tuple[int, int, str, int, int]]:
-    # Split [2, p_max] into contiguous p-ranges, one per process: at most
-    # one per worker, per core and per p.
-    span = query.p_max - 1
-    n = min(query.workers, span, os.cpu_count() or 1)
-    bounds = [2 + (span * i) // n for i in range(n + 1)]
-    return [
-        (bounds[i], bounds[i + 1], query.mode, query.max_contractions, limit)
-        for i in range(n)
-    ]
 
 
 def scan(query: SearchQuery) -> list[InvariantReport]:
     """Run the scan and return its rows, sorted by (p, q, label)."""
     limit = row_limit()
-    tasks = _scan_tasks(query, limit)
-    if len(tasks) == 1:
-        rows = _scan_range(tasks[0])
-    else:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            rows = [row for part in pool.map(_scan_range, tasks) for row in part]
-    if len(rows) > limit:
-        raise RowLimitExceeded(f"scan exceeded SINGLAB_ROW_LIMIT = {limit} rows")
+    n = min(query.workers, query.p_max - 1, os.cpu_count() or 1)
+    rows_of = partial(_p_rows, mode=query.mode, cap=query.max_contractions)
+    ps = range(2, query.p_max + 1)
+    pool = ProcessPoolExecutor(max_workers=n) if n > 1 else None
+    rows: list[InvariantReport] = []
+    try:
+        parts = pool.map(rows_of, ps) if pool else map(rows_of, ps)
+        for part in parts:
+            rows += part
+            if len(rows) > limit:
+                raise RowLimitExceeded(
+                    f"scan exceeded SINGLAB_ROW_LIMIT = {limit} rows"
+                )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     if query.dedup_conjugate:
         rows = [row for row in rows if row.q <= row.q_inv]
     if query.positive_only:
         rows = [row for row in rows if row.positive]
-    rows.sort(key=lambda row: (row.p, row.q, row.label))
     return rows

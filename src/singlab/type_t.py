@@ -103,28 +103,25 @@ def enumerate_type_t(
     """All (params, chain) pairs with r <= r_max and s <= s_max.
 
     For each s the recursion tree over grow_left/grow_right is walked from
-    seed_chain(s) to depth r_max - 2, the chains are deduplicated and paired
-    with their arithmetically recovered parameters, and entries whose r
-    exceeds r_max are dropped.  Both moves preserve type-T-ness and every
-    type-T chain with parameter r is reached within r - 2 moves, so each
-    (r, s) cell comes out complete: exactly phi(r) chains, one per valid d.
-    The result is sorted by (r, s, d).
+    seed_chain(s), and every chain visited is paired with its recognised
+    parameters.  Both moves preserve type-T-ness and s, and each strictly
+    increases r: grow_right sends r to r + d and grow_left sends it to
+    2r - d, both above r since 1 <= d <= r - 1.  So every descendant of a
+    chain with r > r_max also has r > r_max, and the walk stops growing such
+    a chain; the cost is proportional to the output, not exponential in
+    r_max.  The tree has no repeats (a grow_left result starts with 2 and
+    ends in an entry >= 3, a grow_right result the other way round, and
+    seeds have neither shape), and every type-T chain peels back to its
+    seed, so each (r, s) cell comes out complete: exactly phi(r) chains, one
+    per valid d.  The result is sorted by (r, s, d).
     """
     if r_max < 2 or s_max < 1:
         raise SinglabError(f"need r_max >= 2 and s_max >= 1, got ({r_max}, {s_max})")
     out: list[tuple[TypeTParams, ResolutionChain]] = []
     for s in range(1, s_max + 1):
-        level = {tuple(seed_chain(s))}
-        seen = set(level)
-        for _ in range(r_max - 2):
-            nxt = set()
-            for c in level:
-                nxt.add(tuple(grow_left(c)))
-                nxt.add(tuple(grow_right(c)))
-            seen |= nxt
-            level = nxt
-        for c in seen:
-            chain = ResolutionChain(c)
+        todo = [seed_chain(s)]
+        while todo:
+            chain = todo.pop()
             params = recognize_type_t(chain)
             if params is None or params.s != s:
                 raise InternalCheckError(
@@ -133,6 +130,7 @@ def enumerate_type_t(
                 )
             if params.r <= r_max:
                 out.append((params, chain))
+                todo += [grow_left(chain), grow_right(chain)]
     out.sort(key=lambda pc: (pc[0].r, pc[0].s, pc[0].d))
     return out
 

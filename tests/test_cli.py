@@ -113,9 +113,11 @@ def test_search_formats(capsys):
 
 def test_search_row_limit_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("SINGLAB_ROW_LIMIT", "3")
-    code, _, err = run(capsys, "search", "--p-max", "10")
-    assert code == 3
-    assert "SINGLAB_ROW_LIMIT" in err
+    for workers in ("1", "2"):
+        code, out, err = run(capsys, "search", "--p-max", "10", "--workers", workers)
+        assert code == 3
+        assert out == ""
+        assert "SINGLAB_ROW_LIMIT" in err
 
 
 def test_search_worker_determinism(capsys):

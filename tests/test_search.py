@@ -9,9 +9,10 @@ from singlab import (
     SearchQuery,
     SinglabError,
     scan,
+    search,
 )
 from singlab.render import render_csv, render_json, render_table
-from singlab.search import _scan_tasks, row_limit
+from singlab.search import row_limit
 
 
 def test_query_validation():
@@ -137,21 +138,54 @@ def test_golden_output_digests(mode, workers):
 
 
 def test_scan_processes_capped_at_cores(monkeypatch):
-    # Inspects the task list only; no process is started.
-    def processes(cores, **kw):
-        monkeypatch.setattr("os.cpu_count", lambda: cores)
-        tasks = _scan_tasks(SearchQuery(p_max=200, **kw), 99)
-        assert tasks[0][0] == 2 and tasks[-1][1] == 201
-        assert all(t[1] == u[0] for t, u in zip(tasks, tasks[1:]))
-        return len(tasks)
+    # A stand-in for ProcessPoolExecutor records its process count and maps
+    # in this process, so no process is started.
+    started, cancelled = [], []
 
-    assert processes(2, workers=64) == 2
-    assert processes(2, workers=2) == 2
-    assert processes(8, workers=3) == 3
-    assert processes(None, workers=4) == 1
-    assert processes(2) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
-    assert len(_scan_tasks(SearchQuery(p_max=3, workers=8), 99)) == 2
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            cancelled.append(cancel_futures)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+
+    def pools(cores, p_max=12, **kw):
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        started.clear()
+        rows = scan(SearchQuery(p_max=p_max, **kw))
+        assert rows == scan(SearchQuery(p_max=p_max))
+        return list(started)
+
+    assert pools(2, workers=64) == [2]
+    assert pools(2, workers=2) == [2]
+    assert pools(8, workers=3) == [3]
+    assert pools(None, workers=4) == []  # one process: no pool
+    assert pools(2) == []
+    assert pools(8, p_max=3, workers=8) == [2]
+    # A row-limit abort shuts the pool down with its pending work cancelled.
+    monkeypatch.setenv("SINGLAB_ROW_LIMIT", "5")
+    cancelled.clear()
+    with pytest.raises(RowLimitExceeded):
+        scan(SearchQuery(p_max=10, workers=2))
+    assert cancelled == [True]
+
+
+def test_labels_sorted_within_pair_at_p74():
+    # (74, 67) is the first pair whose labels mix one- and two-digit start
+    # indices, so string order differs from generation order there.
+    rows = scan(SearchQuery(p_max=74, mode="multi-contraction"))
+    labels = [r.label for r in rows if (r.p, r.q) == (74, 67)]
+    assert labels.index("contract[10..10]=T(2,1,1)") < labels.index(
+        "contract[8..10]=T(3,2,2)"
+    )
+    assert labels == sorted(labels)
+    assert rows == sorted(rows, key=lambda r: (r.p, r.q, r.label))
+    assert rows == scan(SearchQuery(p_max=74, mode="multi-contraction", workers=2))
 
 
 def test_row_limit_guard(monkeypatch):

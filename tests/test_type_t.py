@@ -129,15 +129,28 @@ def test_enumerate_smallest_cells():
 
 
 def test_enumerate_counts_and_round_trip():
-    entries = enumerate_type_t(8, 3)
-    cells = {}
-    for params, chain in entries:
-        cells.setdefault((params.r, params.s), []).append((params, chain))
-        assert recognize_type_t(chain) == params
-        assert type_t_string(params) == chain
-    for r in range(2, 9):
-        for s in range(1, 4):
-            assert len(cells[(r, s)]) == _phi(r)
+    # r_max 30 is out of reach of an unpruned walk: the grow tree doubles
+    # with every level.
+    for r_max in (8, 30):
+        entries = enumerate_type_t(r_max, 3)
+        cells = {}
+        for params, chain in entries:
+            cells.setdefault((params.r, params.s), []).append((params, chain))
+            assert recognize_type_t(chain) == params
+            assert type_t_string(params) == chain
+        assert set(cells) == {(r, s) for r in range(2, r_max + 1) for s in range(1, 4)}
+        for cell in cells.values():
+            assert len(cell) == _phi(cell[0][0].r)
+
+
+def test_enumerate_children_have_larger_r():
+    # The pruning in enumerate_type_t rests on this: both moves keep s and
+    # strictly increase r, so no chain beyond r_max has a descendant within.
+    for params, chain in enumerate_type_t(14, 4):
+        for child in (grow_left(chain), grow_right(chain)):
+            grown = recognize_type_t(child)
+            assert grown.s == params.s
+            assert grown.r > params.r
 
 
 def test_enumerate_validation():
