@@ -81,7 +81,9 @@ class ResolutionChain(tuple):
     def __new__(cls, entries: Iterable[int] = ()) -> "ResolutionChain":
         items = tuple(entries)
         for e in items:
-            if not isinstance(e, int) or e < 1:
+            # bool is an int subclass: False already fails e < 1, and True
+            # is caught by identity, which costs no call per entry.
+            if not isinstance(e, int) or e < 1 or e is True:
                 raise InvalidChain(f"chain entries must be integers >= 1, got {e!r}")
         return super().__new__(cls, items)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd
 from typing import Sequence
 
@@ -37,7 +36,7 @@ from .errors import (
     SinglabError,
     UnsupportedFamily,
 )
-from .type_t import TypeTParams, _params_of_pair, recognize_type_t, type_t_string
+from .type_t import TypeTParams, recognize_type_t, type_t_string
 
 __all__ = [
     "ContractedInterval",
@@ -190,33 +189,53 @@ def find_type_t_substrings(
     """All (start, stop, params) with chain[start..stop] a type-T substring.
 
     The chain must be minimal (every entry >= 2); otherwise NonMinimalChain
-    is raised, as recognize_type_t does.  Every interval is visited with an
-    incremental continued-fraction recurrence (extending the bracket one entry
-    to the left costs O(1) integer work) and its entry sum comes from prefix
-    sums, so each interval costs O(1) and the sweep is O(k^2).  Intervals with
-    a 2 at both ends are skipped: seeds end in entries >= 3 and each grow move
-    puts a 2 at exactly one end, so no such interval is type T.
+    is raised, as recognize_type_t does.  A type-T substring peels back to a
+    unique seed, which sits in the chain as a *core* with its end entries
+    possibly lowered: an entry >= 4 is the core of (4), and two entries >= 3
+    with only 2s between them are the core of (3, 2, ..., 2, 3).  Each core
+    is walked outward with the state (a, b, vL, vR, r, d), where vL <=
+    chain[a] and vR <= chain[b] are the virtual end values: grow_left needs
+    vL == chain[a] and gives (a-1, b, 2, vR+1, 2r-d, r), grow_right needs
+    vR == chain[b] and gives (a, b+1, vL+1, 2, r+d, d), and a state with
+    both ends equal to the chain is a hit.  A hit allows neither move and
+    every other state at most one, so only a core entry > 4 forks (one walk
+    per side) and the cost is O(k + total walk length).
     """
-    if not all(e >= 2 for e in chain):
+    if min(chain, default=2) < 2:
         raise NonMinimalChain(
             f"the type-T sweep needs a minimal chain, got {tuple(chain)}"
         )
-    # s of chain[a..b] is 2 + 3*(b-a+1) - sum(chain[a..b]) = top_b + base[a]
-    # with top_b = 2 + 3*(b+1) - prefix[b+1] and base[a] = prefix[a] - 3*a.
-    prefix = [0, *accumulate(chain)]
-    base = [prefix[a] - 3 * a for a in range(len(chain))]
+    k = len(chain)
     found = []
-    for b, last in enumerate(chain):
-        top = 2 + 3 * (b + 1) - prefix[b + 1]
-        num, den = 0, 1
-        for a in range(b, -1, -1):
-            first = chain[a]
-            num, den = den, first * den - num
-            if first == 2 and last == 2:
-                continue
-            params = _params_of_pair(num, den, top + base[a])
-            if params is not None:
-                found.append((a, b, params))
+    walks = []  # (a, b, vL, vR, r, s, d)
+    prev = None  # index of the last entry >= 3
+    for i, e in enumerate(chain):
+        if e < 3:
+            continue
+        if prev is not None:
+            walks.append((prev, i, 3, 3, 2, i - prev + 1, 1))
+        prev = i
+        if e == 4:
+            found.append((i, i, TypeTParams(2, 1, 1)))
+        elif e > 4:
+            # The core (4) lies below the entry, so both first moves apply.
+            if i > 0:
+                walks.append((i - 1, i, 2, 5, 3, 1, 2))
+            if i + 1 < k:
+                walks.append((i, i + 1, 5, 2, 3, 1, 1))
+    for a, b, v_left, v_right, r, s, d in walks:
+        while True:
+            if v_left == chain[a]:
+                if v_right == chain[b]:
+                    found.append((a, b, TypeTParams(r, s, d)))
+                    break
+                if a == 0:
+                    break
+                a, v_left, v_right, r, d = a - 1, 2, v_right + 1, 2 * r - d, r
+            elif v_right == chain[b] and b + 1 < k:
+                b, v_left, v_right, r = b + 1, v_left + 1, 2, r + d
+            else:
+                break
     found.sort()
     return found
 
@@ -236,17 +255,12 @@ def _family_closed_form(m: int, r: int, s: int, d: int) -> FamilyClosedForm:
     p = m + m * d * r * s + r * r * s
     q = (m - 1) + (m - 1) * d * r * s + r * r * s
     q_inv = d * s * r + m * d * d * s - 1
-    if m == 1:
-        num = s * (-1 + d * d + 2 * d * r + 2 * r * r - r * (d + r) * s)
-    elif m == 2:
-        num = s * (-2 + 2 * d * d + 2 * d * r + r * r - r * (2 * d + r) * s)
-    else:
-        num = -2 - s * (3 - 3 * d * d + r * (3 * d + r) * s)
+    # eta = (3 - s - m)/3 + (m d^2 s - 2)/(3p), for every m >= 1
     return FamilyClosedForm(
         p=p,
         q=q,
         q_inv=q_inv,
-        eta=Fraction(num, 3 * p),
+        eta=Fraction((3 - s - m) * p + m * d * d * s - 2, 3 * p),
         c_value=Fraction(4 - m * d * d * s, p),
     )
 
@@ -259,10 +273,11 @@ def attach_family(
     Runs the full pipeline (chain build, continued fraction, eta, chain-sum
     C with the type-T substring contracted, b2 = s - 1 + m) and evaluates
     the closed forms for p, q^(-1;p), eta and C; the two must be equal and a
-    disagreement raises MismatchError.
+    disagreement raises MismatchError.  Any m >= 1 is accepted; since
+    C = (4 - m d^2 s)/p, C > 0 exactly when m d^2 s < 4.
     """
-    if m not in (1, 2, 3):
-        raise SinglabError(f"the attachment family needs m in {{1,2,3}}, got {m}")
+    if m < 1:
+        raise SinglabError(f"the attachment family needs m >= 1, got {m}")
     if r < 2 or s < 1 or not 1 <= d <= r - 1 or gcd(r, d) != 1:
         raise SinglabError(f"invalid family parameters (r, s, d) = ({r}, {s}, {d})")
     t_chain = type_t_string(TypeTParams(r, s, r - d))

@@ -47,6 +47,8 @@ def test_chain_validation():
         ResolutionChain((0, 2))
     with pytest.raises(InvalidChain):
         ResolutionChain((2, -3))
+    with pytest.raises(InvalidChain):
+        ResolutionChain((True, 3))  # bool is an int subclass, not an entry
     assert ResolutionChain((3, 2)) == (3, 2)
     assert ResolutionChain((1, 4)).is_minimal is False
     assert ResolutionChain((3, 2)).is_minimal is True

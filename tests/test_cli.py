@@ -75,7 +75,7 @@ def test_family_command(capsys):
     code, out, _ = run(capsys, "family", "--curves", "1", "--r", "2", "--s", "1", "--d", "1")
     assert code == 0
     assert "3/7+" in out
-    code, _, err = run(capsys, "family", "--curves", "5", "--r", "2", "--s", "1", "--d", "1")
+    code, _, err = run(capsys, "family", "--curves", "0", "--r", "2", "--s", "1", "--d", "1")
     assert code == 2
 
 

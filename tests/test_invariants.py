@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -17,6 +18,7 @@ from singlab import (
     chain_to_quotient,
     configuration,
     configuration_invariants,
+    enumerate_type_t,
     eta_exact,
     family_minimal_graph,
     find_type_t_substrings,
@@ -25,6 +27,7 @@ from singlab import (
     theorem_tables,
     type_t_string,
 )
+from singlab.type_t import _params_of_pair
 
 
 def _artin_report(p, q):
@@ -128,6 +131,35 @@ def _sweep_by_recognition(chain):
     ]
 
 
+def _sweep_by_bracket(chain):
+    # The O(k^2) sweep that find_type_t_substrings replaced: every interval is
+    # visited with an incremental continued-fraction recurrence (extending the
+    # bracket one entry to the left costs O(1)), its s comes from prefix sums,
+    # and intervals with a 2 at both ends are skipped.
+    if not all(e >= 2 for e in chain):
+        raise NonMinimalChain(
+            f"the type-T sweep needs a minimal chain, got {tuple(chain)}"
+        )
+    # s of chain[a..b] is 2 + 3*(b-a+1) - sum(chain[a..b]) = top_b + base[a]
+    # with top_b = 2 + 3*(b+1) - prefix[b+1] and base[a] = prefix[a] - 3*a.
+    prefix = [0, *accumulate(chain)]
+    base = [prefix[a] - 3 * a for a in range(len(chain))]
+    found = []
+    for b, last in enumerate(chain):
+        top = 2 + 3 * (b + 1) - prefix[b + 1]
+        num, den = 0, 1
+        for a in range(b, -1, -1):
+            first = chain[a]
+            num, den = den, first * den - num
+            if first == 2 and last == 2:
+                continue
+            params = _params_of_pair(num, den, top + base[a])
+            if params is not None:
+                found.append((a, b, params))
+    found.sort()
+    return found
+
+
 @given(st.integers(2, 10**6), st.integers(1, 10**6))
 def test_find_type_t_substrings_at_large_p(p, q0):
     q = q0 % p
@@ -161,6 +193,44 @@ def test_find_type_t_substrings_on_runs_of_twos():
                 assert found == []
 
 
+@given(st.integers(2, 10**9), st.integers(1, 10**9))
+def test_find_type_t_substrings_matches_bracket_sweep(p, q0):
+    q = q0 % p
+    assume(q != 0 and gcd(p, q) == 1)
+    chain = hj_resolve(CyclicQuotient(p, q))
+    assume(len(chain) <= 200)
+    assert find_type_t_substrings(chain) == _sweep_by_bracket(chain)
+
+
+_SMALL_TYPE_T = [tuple(chain) for _params, chain in enumerate_type_t(12, 4)]
+
+
+@st.composite
+def _type_t_concatenations(draw):
+    # 1-5 type-T chains, each with one entry sometimes raised by 1, and runs
+    # of 2s sometimes put between them: many cores, some of them spoiled
+    chain = []
+    for _ in range(draw(st.integers(1, 5))):
+        part = list(draw(st.sampled_from(_SMALL_TYPE_T)))
+        if draw(st.booleans()):
+            part[draw(st.integers(0, len(part) - 1))] += 1
+        chain += part + [2] * draw(st.sampled_from((0, 0, 1, 2, 5)))
+    return tuple(chain)
+
+
+@given(_type_t_concatenations())
+def test_find_type_t_substrings_on_concatenations(chain):
+    assert find_type_t_substrings(chain) == _sweep_by_bracket(chain)
+
+
+def test_find_type_t_substrings_on_long_chains():
+    # lengths the O(k^2) sweep could not finish
+    assert find_type_t_substrings((2,) * 100_000 + (40,)) == [
+        (99964, 100000, TypeTParams(38, 1, 37))
+    ]
+    assert find_type_t_substrings(hj_resolve(CyclicQuotient(10**6 + 3, 10**6 + 2))) == []
+
+
 def test_attach_family_examples():
     report, closed = attach_family(1, 2, 1, 1)
     assert (report.p, report.q) == (7, 4)
@@ -183,7 +253,7 @@ def test_attach_family_examples():
 
 def test_attach_family_validation():
     with pytest.raises(SinglabError):
-        attach_family(4, 2, 1, 1)
+        attach_family(0, 2, 1, 1)
     with pytest.raises(SinglabError):
         attach_family(1, 4, 1, 2)  # gcd(4,2) != 1
     with pytest.raises(SinglabError):
@@ -201,6 +271,19 @@ def test_attach_family_closed_forms_grid():
                     assert report.p == m + m * d * r * s + r * r * s
                     assert report.eta == closed.eta
                     assert report.c_value == Fraction(4 - m * d * d * s, report.p)
+
+
+def test_attach_family_positive_exactly_for_the_five_families():
+    # C = (4 - m d^2 s)/p, so C > 0 exactly when m d^2 s < 4
+    positive = {(1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 1, 1), (3, 1, 1)}
+    for m in range(1, 9):
+        for r in range(2, 14):
+            for s in range(1, 6):
+                for d in range(1, r):
+                    if gcd(r, d) != 1:
+                        continue
+                    report, _ = attach_family(m, r, s, d)  # raises on mismatch
+                    assert report.positive == ((m, s, d) in positive)
 
 
 def test_positivity_boundaries():

@@ -146,11 +146,14 @@ def test_enumerate_counts_and_round_trip():
 def test_enumerate_children_have_larger_r():
     # The pruning in enumerate_type_t rests on this: both moves keep s and
     # strictly increase r, so no chain beyond r_max has a descendant within.
-    for params, chain in enumerate_type_t(14, 4):
-        for child in (grow_left(chain), grow_right(chain)):
-            grown = recognize_type_t(child)
-            assert grown.s == params.s
-            assert grown.r > params.r
+    # find_type_t_substrings applies the same (r, d) updates as it walks.
+    for params, chain in enumerate_type_t(20, 4):
+        r, s, d = params.r, params.s, params.d
+        right = recognize_type_t(grow_right(chain))
+        left = recognize_type_t(grow_left(chain))
+        assert right == TypeTParams(r + d, s, d)
+        assert left == TypeTParams(2 * r - d, s, r)
+        assert min(right.r, left.r) > r
 
 
 def test_enumerate_validation():
