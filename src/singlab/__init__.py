@@ -52,7 +52,7 @@ from .invariants import (
     find_type_t_substrings,
     theorem_tables,
 )
-from .search import MODES, SearchQuery, row_limit, scan
+from .search import MODES, SearchQuery, row_limit, scan, scan_text
 from .type_t import (
     TypeTInvariants,
     TypeTParams,
@@ -121,6 +121,7 @@ __all__ = [
     "reverse_chain",
     "row_limit",
     "scan",
+    "scan_text",
     "seed_chain",
     "theorem_tables",
     "type_t_group",

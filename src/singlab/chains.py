@@ -61,6 +61,10 @@ class CyclicQuotient:
             raise SinglabError(f"group order must be at least 2, got p={self.p}")
         if not 1 <= self.q < self.p:
             raise SinglabError(f"need 1 <= q < p, got (p, q) = ({self.p}, {self.q})")
+        # bool is an int subclass: a bool p fails p >= 2 and False fails
+        # q >= 1, but True passes, so it is caught by identity.
+        if self.q is True:
+            raise SinglabError(f"q must be an integer, not a bool, got q={self.q}")
         if gcd(self.p, self.q) != 1:
             raise SinglabError(
                 f"(p, q) = ({self.p}, {self.q}) is not coprime; the action is not free"

@@ -14,8 +14,8 @@ from .errors import RowLimitExceeded, SinglabError
 from .eta import eta_cotangent, eta_exact
 from .exact import decimal_str
 from .invariants import attach_family, configuration, configuration_invariants, theorem_tables
-from .render import chain_text, render_csv, render_json, render_table
-from .search import MODES, SearchQuery, scan
+from .render import FORMATS, chain_text, render_table
+from .search import MODES, SearchQuery, scan_text
 from .type_t import enumerate_type_t, recognize_type_t
 
 __all__ = ["main", "build_parser"]
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--p-max", type=int, required=True)
     p_search.add_argument("--mode", choices=MODES, default="artin-only")
     p_search.add_argument("--positive", action="store_true")
-    p_search.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    p_search.add_argument("--format", choices=tuple(FORMATS), default="table")
     p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--max-contractions", type=int, default=3)
     p_search.add_argument("--dedup-conjugate", action="store_true")
@@ -145,8 +145,7 @@ def _run(args: argparse.Namespace, out) -> int:
             max_contractions=args.max_contractions,
             dedup_conjugate=args.dedup_conjugate,
         )
-        renderer = {"table": render_table, "json": render_json, "csv": render_csv}
-        out.write(renderer[args.format](scan(query)))
+        out.write(scan_text(query, args.format))
     return 0
 
 

@@ -3,16 +3,23 @@
 A scan visits every coprime pair 2 <= p <= p_max, 1 <= q < p and emits the
 Artin report plus, depending on the mode, one report per contracted type-T
 substring of the chain (``single-contraction``) or per disjoint set of such
-substrings up to a size cap (``multi-contraction``).  Each p is one unit of
-work whose rows come back sorted by (q, label); the units are mapped over p
-in-process or by a process pool, whose ``map`` returns them in p order, so
-the rows are sorted by (p, q, label) and the output is byte-identical
-regardless of how many workers produced it.  Every row re-validates the C
-cross-check.
+substrings up to a size cap (``multi-contraction``).
+
+Each p is one unit of work.  A unit builds that p's rows sorted by
+(q, label), re-validating the C cross-check of every row, applies the
+``--dedup-conjugate`` and ``--positive`` filters, and turns what is left
+into a part.  For ``scan_text`` the part is that p's output already
+rendered by one of ``render.FORMATS``, so a worker process sends back text
+and the parent only stitches the parts; ``scan`` keeps the reports
+themselves.  The units are mapped over p in process or by a process pool,
+whose ``map`` returns them in p order, so the rows are sorted by
+(p, q, label) and the output is byte-identical regardless of how many
+workers produced it.
 
 The environment variable SINGLAB_ROW_LIMIT (default 10_000_000) bounds the
-number of generated rows.  It is checked as the units arrive; exceeding it
-cancels the pending units and aborts the scan before anything is emitted.
+number of generated rows, counted before the filters.  It is checked as the
+parts arrive; exceeding it cancels the pending units and aborts the scan
+before anything is emitted.
 """
 
 from __future__ import annotations
@@ -32,8 +39,9 @@ from .invariants import (
     configuration_invariants,
     find_type_t_substrings,
 )
+from .render import FORMATS
 
-__all__ = ["MODES", "SearchQuery", "scan", "row_limit"]
+__all__ = ["MODES", "SearchQuery", "scan", "scan_text", "row_limit"]
 
 MODES = ("artin-only", "single-contraction", "multi-contraction")
 
@@ -119,27 +127,53 @@ def _p_rows(p: int, mode: str, cap: int) -> list[InvariantReport]:
     return rows
 
 
-def scan(query: SearchQuery) -> list[InvariantReport]:
-    """Run the scan and return its rows, sorted by (p, q, label)."""
-    limit = row_limit()
-    n = min(query.workers, query.p_max - 1, os.cpu_count() or 1)
-    rows_of = partial(_p_rows, mode=query.mode, cap=query.max_contractions)
-    ps = range(2, query.p_max + 1)
-    pool = ProcessPoolExecutor(max_workers=n) if n > 1 else None
-    rows: list[InvariantReport] = []
-    try:
-        parts = pool.map(rows_of, ps) if pool else map(rows_of, ps)
-        for part in parts:
-            rows += part
-            if len(rows) > limit:
-                raise RowLimitExceeded(
-                    f"scan exceeded SINGLAB_ROW_LIMIT = {limit} rows"
-                )
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+def _p_part(p: int, query: SearchQuery, part):
+    # The rows generated for p, and part() of the rows the filters keep.
+    rows = _p_rows(p, query.mode, query.max_contractions)
+    generated = len(rows)
     if query.dedup_conjugate:
         rows = [row for row in rows if row.q <= row.q_inv]
     if query.positive_only:
         rows = [row for row in rows if row.positive]
-    return rows
+    return generated, part(rows)
+
+
+def _parts(query: SearchQuery, part) -> list:
+    # The parts of p = 2..p_max in p order, from at most one process per core.
+    limit = row_limit()
+    n = min(query.workers, query.p_max - 1, os.cpu_count() or 1)
+    unit = partial(_p_part, query=query, part=part)
+    ps = range(2, query.p_max + 1)
+    pool = ProcessPoolExecutor(max_workers=n) if n > 1 else None
+    parts = []
+    generated = 0
+    try:
+        for count, done in pool.map(unit, ps) if pool else map(unit, ps):
+            generated += count
+            if generated > limit:
+                raise RowLimitExceeded(
+                    f"scan exceeded SINGLAB_ROW_LIMIT = {limit} rows"
+                )
+            parts.append(done)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return parts
+
+
+def scan(query: SearchQuery) -> list[InvariantReport]:
+    """Run the scan and return its rows, sorted by (p, q, label)."""
+    return [row for part in _parts(query, list) for row in part]
+
+
+def scan_text(query: SearchQuery, fmt: str) -> str:
+    """Run the scan and return its rows rendered as ``fmt``.
+
+    ``fmt`` is a key of ``render.FORMATS`` ("table", "json" or "csv").  The
+    text equals ``render_<fmt>(scan(query))``; each p is rendered by the
+    unit that computed it.
+    """
+    if fmt not in FORMATS:
+        raise SinglabError(f"format must be one of {tuple(FORMATS)}, got {fmt!r}")
+    part, stitch = FORMATS[fmt]
+    return stitch(_parts(query, part))

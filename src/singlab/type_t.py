@@ -51,6 +51,12 @@ class TypeTParams:
             raise SinglabError(f"need r >= 2, got r={self.r}")
         if self.s < 1:
             raise SinglabError(f"need s >= 1, got s={self.s}")
+        # bool is an int subclass: a bool r fails r >= 2 and False fails the
+        # checks on s and d, but True passes them, so it is caught by identity.
+        if self.s is True or self.d is True:
+            raise SinglabError(
+                f"s and d must be integers, not bools, got (s, d) = ({self.s}, {self.d})"
+            )
         object.__setattr__(self, "d", self.d % self.r)
         if self.d == 0 or gcd(self.r, self.d) != 1:
             raise SinglabError(

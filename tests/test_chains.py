@@ -37,6 +37,10 @@ def test_quotient_validation():
         CyclicQuotient(5, 0)
     with pytest.raises(SinglabError):
         CyclicQuotient(5, 5)
+    with pytest.raises(SinglabError):
+        CyclicQuotient(3, True)  # bool is an int subclass, not an order
+    with pytest.raises(SinglabError):
+        CyclicQuotient(True, 1)
     g = CyclicQuotient(5, 2)
     assert (g.p, g.q) == (5, 2)
     assert g.q_inverse() == 3

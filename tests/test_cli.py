@@ -4,7 +4,9 @@ import subprocess
 
 import pytest
 
+from singlab import RowLimitExceeded, SearchQuery, scan
 from singlab.cli import main
+from singlab.render import FORMATS, render_csv, render_json, render_table
 
 
 def run(capsys, *argv):
@@ -118,6 +120,73 @@ def test_search_row_limit_exit_code(capsys, monkeypatch):
         assert code == 3
         assert out == ""
         assert "SINGLAB_ROW_LIMIT" in err
+
+
+RENDERERS = {"table": render_table, "json": render_json, "csv": render_csv}
+
+
+@pytest.mark.parametrize(
+    "mode, flags",
+    [
+        ("artin-only", []),
+        ("single-contraction", []),
+        ("multi-contraction", []),
+        ("artin-only", ["--positive", "--dedup-conjugate"]),
+        ("single-contraction", ["--positive"]),
+        ("multi-contraction", ["--dedup-conjugate"]),
+        ("multi-contraction", ["--max-contractions", "1", "--positive"]),
+    ],
+)
+def test_search_output_equals_rendered_scan(capsys, mode, flags):
+    # The CLI renders each p in the unit that computed it; the result must
+    # equal rendering the library's full row list in one go.
+    query = SearchQuery(
+        p_max=36,
+        mode=mode,
+        positive_only="--positive" in flags,
+        dedup_conjugate="--dedup-conjugate" in flags,
+        max_contractions=1 if "--max-contractions" in flags else 3,
+    )
+    rows = scan(query)
+    for fmt, render in RENDERERS.items():
+        expected = render(rows)
+        for workers in ("1", "2"):
+            code, out, _ = run(
+                capsys, "search", "--p-max", "36", "--mode", mode, "--format", fmt,
+                "--workers", workers, *flags,
+            )
+            assert code == 0
+            assert out == expected, (fmt, workers)
+
+
+def test_stitchers_with_no_rows():
+    header = {
+        "table": "p  q  chain  k  sum_e  q_inv  eta  b2  C  label\n",
+        "json": "[]\n",
+        "csv": "p,q,chain,k,sum_e,q_inv,eta,b2,c,positive,label\n",
+    }
+    for fmt, (part, stitch) in FORMATS.items():
+        assert stitch([]) == header[fmt]
+        assert stitch([part([]), part([])]) == header[fmt]
+        assert RENDERERS[fmt]([]) == header[fmt]
+
+
+def test_search_row_limit_counts_rows_before_filters(capsys, monkeypatch):
+    generated = len(scan(SearchQuery(p_max=10)))
+    kept = len(scan(SearchQuery(p_max=10, positive_only=True)))
+    assert kept + 1 < generated
+    monkeypatch.setenv("SINGLAB_ROW_LIMIT", str(kept + 1))
+    with pytest.raises(RowLimitExceeded):
+        scan(SearchQuery(p_max=10, positive_only=True))
+    for workers in ("1", "2"):
+        for fmt in FORMATS:
+            code, out, err = run(
+                capsys, "search", "--p-max", "10", "--positive", "--format", fmt,
+                "--workers", workers,
+            )
+            assert code == 3
+            assert out == ""
+            assert "SINGLAB_ROW_LIMIT" in err
 
 
 def test_search_worker_determinism(capsys):

@@ -47,6 +47,9 @@ def test_params_validation_and_canonicalization():
         TypeTParams(4, 1, 2)  # gcd(4, 2) != 1
     with pytest.raises(SinglabError):
         TypeTParams(3, 1, 3)  # canonicalizes to d = 0
+    for flagged in ((2, True, 1), (3, 1, True), (True, 1, 1)):
+        with pytest.raises(SinglabError):
+            TypeTParams(*flagged)  # bool is an int subclass, not a parameter
     assert TypeTParams(3, 1, 4) == TypeTParams(3, 1, 1)
     assert TypeTParams(3, 1, 5).d == 2
     assert TypeTParams(3, 2, 1).group_order == 18
