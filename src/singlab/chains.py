@@ -142,7 +142,9 @@ def hj_resolve(g: CyclicQuotient) -> ResolutionChain:
         e = -(-a // b)  # ceil(a/b)
         entries.append(e)
         a, b = b, e * b - a
-    return ResolutionChain(entries)
+    # Every e is an int >= 2 by construction (b < a), so the per-entry
+    # validation of ResolutionChain.__new__ is skipped.
+    return tuple.__new__(ResolutionChain, entries)
 
 
 def chain_to_quotient(chain: ResolutionChain) -> CyclicQuotient:

@@ -9,15 +9,15 @@ The central quantity is
 
     C = 2 - b2 + 2/p - 3*eta(S^3/Gamma),
 
-computed here by two routes (through the exact eta invariant, and through
-the chain sums 2 + (k - b2) - sum(e_i - 2) + (2 - q^(-1;p) - q)/p) that are
-required to agree on every report.  The routes are not independent: the
-second is the first with the eta formula substituted in and rearranged, so
-the check catches a mistyped line but not a wrong formula.  An independent
-route is eta from the Dedekind sum, eta = 4*s(q, p), which is still to come.
-Both routes are evaluated as integer numerators over p, using
-3*p*eta = p*sum(e) + q^(-1;p) + q - 3*k*p; Fractions are built only for the
-report.
+computed from the one chain-sum route for eta,
+
+    3*p*eta = p*sum(e) + q^(-1;p) + q - 3*k*p,
+
+as an integer numerator over p; Fractions are built only for the report.
+Every report checks that numerator against the Dedekind-sum route of
+:mod:`singlab.eta` (eta = 4*s(q, p)), which reads neither the chain nor
+q^(-1;p), so a wrong chain entry or a wrong inverse raises
+InternalCheckError.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import (
     SinglabError,
     UnsupportedFamily,
 )
+from .eta import _eta_num
 from .type_t import TypeTParams, recognize_type_t, type_t_string
 
 __all__ = [
@@ -150,7 +151,11 @@ def configuration(
 
 
 def configuration_invariants(cfg: ResolutionConfiguration) -> InvariantReport:
-    """Invariant report with C computed by both routes (they must agree)."""
+    """Invariant report of one configuration.
+
+    Raises InternalCheckError if the chain-sum eta disagrees with the
+    Dedekind-sum eta of the quotient.
+    """
     g = cfg.quotient
     p, q = g.p, g.q
     chain = cfg.chain
@@ -158,16 +163,16 @@ def configuration_invariants(cfg: ResolutionConfiguration) -> InvariantReport:
     sum_e = sum(chain)
     q_inv = g.q_inverse()
     b2 = cfg.b2
-    # Both routes as integer numerators over p: 3*p*eta = eta_num.
+    # Integer numerators: 3*p*eta = eta_num and p*C = c_num.
     eta_num = p * sum_e + q_inv + q - 3 * k * p
-    c_from_eta = (2 - b2) * p + 2 - eta_num
-    c_from_sums = (2 + 3 * k - b2 - sum_e) * p + 2 - q_inv - q
-    if c_from_eta != c_from_sums:
+    dedekind_num = _eta_num(p, q)
+    if eta_num != dedekind_num:
         raise InternalCheckError(
-            f"C cross-check failed for (p, q) = ({p}, {q}), "
-            f"label {cfg.label()}: {Fraction(c_from_eta, p)} != "
-            f"{Fraction(c_from_sums, p)}"
+            f"eta cross-check failed for (p, q) = ({p}, {q}), "
+            f"label {cfg.label()}: chain sums give {Fraction(eta_num, 3 * p)}, "
+            f"the Dedekind sum {Fraction(dedekind_num, 3 * p)}"
         )
+    c_num = (2 - b2) * p + 2 - eta_num
     return InvariantReport(
         p=p,
         q=q,
@@ -177,8 +182,8 @@ def configuration_invariants(cfg: ResolutionConfiguration) -> InvariantReport:
         q_inv=q_inv,
         eta=Fraction(eta_num, 3 * p),
         b2=b2,
-        c_value=Fraction(c_from_eta, p),
-        positive=c_from_eta > 0,
+        c_value=Fraction(c_num, p),
+        positive=c_num > 0,
         label=cfg.label(),
     )
 

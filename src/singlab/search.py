@@ -105,7 +105,10 @@ def _disjoint_subsets(intervals, cap):
 
 
 def _p_rows(p: int, mode: str, cap: int) -> list[InvariantReport]:
-    # Every row with this p, sorted by (q, label).
+    # Every row with this p, sorted by (q, label).  A single contraction is
+    # a disjoint subset of size one.
+    if mode == "single-contraction":
+        cap = 1
     rows = []
     for q in range(1, p):
         if gcd(p, q) != 1:
@@ -116,11 +119,7 @@ def _p_rows(p: int, mode: str, cap: int) -> list[InvariantReport]:
         if mode == "artin-only":
             continue
         subs = find_type_t_substrings(artin.chain)
-        if mode == "single-contraction":
-            chosen_sets = [[iv] for iv in subs]
-        else:
-            chosen_sets = _disjoint_subsets(subs, cap)
-        for chosen in chosen_sets:
+        for chosen in _disjoint_subsets(subs, cap):
             cfg = configuration(g, [(a, b) for a, b, _ in chosen])
             rows.append(configuration_invariants(cfg))
     rows.sort(key=lambda row: (row.q, row.label))

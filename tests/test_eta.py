@@ -1,9 +1,14 @@
 from fractions import Fraction
 from math import gcd
 
+from hypothesis import assume, given, strategies as st
+
 from singlab import (
     CyclicQuotient,
     TypeTParams,
+    artin_configuration,
+    chain_to_quotient,
+    configuration_invariants,
     eta_cotangent,
     eta_exact,
     mod_inverse,
@@ -62,3 +67,48 @@ def test_type_t_closed_form_matches_eta_exact():
                     continue
                 t = TypeTParams(r, s, d)
                 assert eta_exact(type_t_group(t)) == type_t_invariants(t).eta
+
+
+def _partial_quotient_sum(p, q):
+    # a_1 + ... + a_n of q/p = [0; a_1, ..., a_n], which bounds the length
+    # of the minimal resolution chain of (p, q)
+    total = 0
+    while q:
+        total += p // q
+        p, q = q, p % q
+    return total
+
+
+@st.composite
+def _coprime_pairs(draw):
+    p = draw(st.integers(2, 10**12))
+    q = draw(st.integers(1, p - 1))
+    assume(gcd(p, q) == 1)
+    return p, q
+
+
+@given(_coprime_pairs())
+def test_eta_exact_matches_chain_sums_at_large_p(pair):
+    # q = p - 1 resolves to p - 1 entries, so keep the chains short
+    assume(_partial_quotient_sum(*pair) <= 2000)
+    g = CyclicQuotient(*pair)
+    report = configuration_invariants(artin_configuration(g))
+    eta = eta_exact(g)
+    assert report.eta == eta
+    assert report.c_value == 2 - report.k + Fraction(2, g.p) - 3 * eta
+    assert chain_to_quotient(report.chain) == g
+
+
+@given(_coprime_pairs())
+def test_eta_exact_reversal_duality_at_large_p(pair):
+    p, q = pair
+    assert eta_exact(CyclicQuotient(p, q)) == eta_exact(
+        CyclicQuotient(p, mod_inverse(q, p))
+    )
+
+
+def test_eta_exact_on_the_longest_chain():
+    # (p, p-1) resolves to p - 1 entries of 2, so the chain sums give
+    # 3p*eta = 2p(p-1) + 2(p-1) - 3p(p-1) = -(p-1)(p-2)
+    p = 10**12 + 39
+    assert eta_exact(CyclicQuotient(p, p - 1)) == -Fraction((p - 1) * (p - 2), 3 * p)

@@ -7,9 +7,11 @@ from hypothesis import assume, given, strategies as st
 
 from singlab import (
     CyclicQuotient,
+    InternalCheckError,
     InvalidConfiguration,
     NonMinimalChain,
     ResolutionChain,
+    ResolutionConfiguration,
     SinglabError,
     TypeTParams,
     UnsupportedFamily,
@@ -91,6 +93,22 @@ def test_c_identity_sweep():
             report = _artin_report(p, q)
             assert report.c_value == 2 - report.b2 + Fraction(2, p) - 3 * report.eta
             assert report.positive == (report.c_value > 0)
+
+
+def test_eta_check_catches_a_wrong_chain_or_inverse(monkeypatch):
+    # The chain and q^(-1;p) feed the chain-sum eta only; the Dedekind route
+    # reads neither, so breaking either one must raise.
+    g = CyclicQuotient(7, 3)  # chain (3, 2, 2), q^(-1) = 5
+    with pytest.raises(InternalCheckError):
+        configuration_invariants(
+            ResolutionConfiguration(g, ResolutionChain((3, 2, 3)), ())
+        )
+    true_inverse = CyclicQuotient.q_inverse
+    monkeypatch.setattr(
+        CyclicQuotient, "q_inverse", lambda self: true_inverse(self) + 1
+    )
+    with pytest.raises(InternalCheckError):
+        _artin_report(7, 3)
 
 
 def test_find_type_t_substrings():
