@@ -52,7 +52,7 @@ from .invariants import (
     find_type_t_substrings,
     theorem_tables,
 )
-from .search import MODES, SearchQuery, row_limit, scan, scan_text
+from .search import MODES, SearchQuery, row_limit, scan, scan_pieces
 from .type_t import (
     TypeTInvariants,
     TypeTParams,
@@ -121,7 +121,7 @@ __all__ = [
     "reverse_chain",
     "row_limit",
     "scan",
-    "scan_text",
+    "scan_pieces",
     "seed_chain",
     "theorem_tables",
     "type_t_group",

@@ -15,10 +15,16 @@ from .eta import eta_cotangent, eta_exact
 from .exact import decimal_str
 from .invariants import attach_family, configuration, configuration_invariants, theorem_tables
 from .render import FORMATS, chain_text, render_table
-from .search import MODES, SearchQuery, scan_text
+from .search import MODES, SearchQuery, scan_pieces
 from .type_t import enumerate_type_t, recognize_type_t
 
 __all__ = ["main", "build_parser"]
+
+# search joins its pieces (one per p, a few kB each) into blocks of at least
+# this many characters before writing, so that a reader of a pipe gets
+# full-size reads rather than one short read per p.  A block costs about
+# three times its size in transient memory.
+_WRITE_BLOCK = 1 << 20
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,6 +109,17 @@ def _parse_entries(text: str) -> ResolutionChain:
         raise SinglabError(f"chain entries look like 5,2 got {text!r}") from exc
 
 
+def _write_blocks(out, pieces) -> None:
+    block, size = [], 0
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
+        if size >= _WRITE_BLOCK:
+            out.write("".join(block))
+            block, size = [], 0
+    out.write("".join(block))
+
+
 def _run(args: argparse.Namespace, out) -> int:
     if args.command == "resolve":
         out.write(chain_text(hj_resolve(CyclicQuotient(args.p, args.q))) + "\n")
@@ -145,7 +162,7 @@ def _run(args: argparse.Namespace, out) -> int:
             max_contractions=args.max_contractions,
             dedup_conjugate=args.dedup_conjugate,
         )
-        out.write(scan_text(query, args.format))
+        _write_blocks(out, scan_pieces(query, args.format))
     return 0
 
 

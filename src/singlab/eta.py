@@ -26,7 +26,6 @@ Three routes are written in the library, each exactly once:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import cos, pi, sin
 
 from .chains import CyclicQuotient
@@ -73,20 +72,15 @@ def eta_exact(g: CyclicQuotient) -> Fraction:
     return Fraction(_eta_num(g.p, g.q), 3 * g.p)
 
 
-@lru_cache(maxsize=512)
-def _cot_table(p: int) -> tuple[float, ...]:
-    # cot(pi*m/p) for m in [1, p-1]; index 0 unused.
-    out = [0.0] * p
-    for m in range(1, p):
-        x = pi * m / p
-        out[m] = cos(x) / sin(x)
-    return tuple(out)
-
-
 def eta_cotangent(g: CyclicQuotient) -> float:
     """Double-precision eta invariant via the cotangent defect sum."""
     p, q = g.p, g.q
-    cot = _cot_table(p)
+    # cot(pi*m/p) for m in [1, p-1]; index 0 unused.  Built per call: a
+    # cache of p-float tables would outlive the query.
+    cot = [0.0] * p
+    for m in range(1, p):
+        x = pi * m / p
+        cot[m] = cos(x) / sin(x)
     total = 0.0
     comp = 0.0
     for j in range(1, p):

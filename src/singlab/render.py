@@ -5,12 +5,15 @@ a 15-significant-digit decimal convenience string, CSV carries "num/den"
 text, and the table marks positive C with a trailing "+".
 
 Each format is a pair of functions.  The part function renders a run of
-rows (a scan renders one p at a time) into a picklable part: CSV body
-lines, JSON object lines joined by ",\\n", or one tuple of cell strings per
-table row.  The stitcher joins parts in order and adds what the format
-writes once: the CSV header, the JSON brackets, the table header and the
-column widths over all rows.  ``FORMATS`` maps each format name to its
-pair, and ``render_<fmt>(rows)`` stitches a single part.
+rows (a scan renders one p at a time) into a compact, picklable part: CSV
+body lines, JSON object lines joined by ",\\n", or, for the table, the
+part's column widths plus one string holding its rows, one line per row
+with the cells joined by a tab.  The stitcher yields the output in pieces,
+in order: what the format writes once (the CSV header, the JSON brackets,
+the table header) and each part, the table's padded to the column widths
+over all parts.  A caller can write the pieces one at a time, so no joined
+copy of the output is built.  ``FORMATS`` maps each format name to its
+pair, and ``render_<fmt>(rows)`` joins the pieces of a single part.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ import csv
 import io
 import json
 from fractions import Fraction
-from itertools import chain as concat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact import decimal_str
 from .invariants import InvariantReport
@@ -78,21 +80,19 @@ def json_part(rows: Iterable[InvariantReport]) -> str:
     )
 
 
-def stitch_json(parts: Iterable[str]) -> str:
-    """A JSON array of the objects of every part, in order."""
-    # One join over the parts and separators, so the text is copied once.
-    pieces = ["[\n"]
+def stitch_json(parts: Iterable[str]) -> Iterator[str]:
+    """The pieces of a JSON array of the objects of every part, in order."""
+    opening = "[\n"
     for part in parts:
         if part:
-            pieces += (part, ",\n")
-    if len(pieces) == 1:
-        return "[]\n"
-    pieces[-1] = "\n]\n"
-    return "".join(pieces)
+            yield opening
+            yield part
+            opening = ",\n"
+    yield "[]\n" if opening == "[\n" else "\n]\n"
 
 
 def render_json(rows: Iterable[InvariantReport]) -> str:
-    return stitch_json([json_part(rows)])
+    return "".join(stitch_json([json_part(rows)]))
 
 
 _CSV_HEADER = "p,q,chain,k,sum_e,q_inv,eta,b2,c,positive,label\n"
@@ -120,22 +120,27 @@ def csv_part(rows: Iterable[InvariantReport]) -> str:
     return buf.getvalue()
 
 
-def stitch_csv(parts: Iterable[str]) -> str:
-    """The header followed by the body lines of every part, in order."""
-    return "".join([_CSV_HEADER, *parts])
+def stitch_csv(parts: Iterable[str]) -> Iterator[str]:
+    """The header, then the body lines of every part, in order."""
+    yield _CSV_HEADER
+    yield from parts
 
 
 def render_csv(rows: Iterable[InvariantReport]) -> str:
-    return stitch_csv([csv_part(rows)])
+    return "".join(stitch_csv([csv_part(rows)]))
 
 
 _TABLE_COLUMNS = ("p", "q", "chain", "k", "sum_e", "q_inv", "eta", "b2", "C", "label")
 _LEFT_ALIGNED = {"chain", "label"}
 
 
-def table_part(rows: Iterable[InvariantReport]) -> list[tuple[str, ...]]:
-    """One tuple of cell strings per row, in ``_TABLE_COLUMNS`` order."""
-    return [
+def table_part(rows: Iterable[InvariantReport]) -> tuple[tuple[int, ...], str]:
+    """The column widths of the rows and their unpadded lines, one string.
+
+    Each line holds a row's cells in ``_TABLE_COLUMNS`` order, joined by a
+    tab, and the lines are joined by newlines; no cell contains either.
+    """
+    records = [
         (
             str(row.p),
             str(row.q),
@@ -150,21 +155,30 @@ def table_part(rows: Iterable[InvariantReport]) -> list[tuple[str, ...]]:
         )
         for row in rows
     ]
+    widths = tuple(max(map(len, column)) for column in zip(*records))
+    return widths or (0,) * len(_TABLE_COLUMNS), "\n".join(map("\t".join, records))
 
 
-def stitch_table(parts: Iterable[list[tuple[str, ...]]]) -> str:
-    """The header and every row of every part, padded to common widths."""
-    records = [_TABLE_COLUMNS, *concat.from_iterable(parts)]
-    widths = [max(map(len, column)) for column in zip(*records)]
+def stitch_table(parts: Iterable[tuple[tuple[int, ...], str]]) -> Iterator[str]:
+    """The header, then the rows of each part, padded to common widths."""
+    parts = list(parts)
+    widths = [len(col) for col in _TABLE_COLUMNS]
+    for part_widths, _ in parts:
+        widths = list(map(max, widths, part_widths))
     line = "  ".join(
         f"{{:{'<' if col in _LEFT_ALIGNED else '>'}{width}}}"
         for col, width in zip(_TABLE_COLUMNS, widths)
-    )
-    return "".join([line.format(*record).rstrip() + "\n" for record in records])
+    ).format
+    yield line(*_TABLE_COLUMNS).rstrip() + "\n"
+    for _, text in parts:
+        if text:
+            yield "".join(
+                [line(*cells.split("\t")).rstrip() + "\n" for cells in text.split("\n")]
+            )
 
 
 def render_table(rows: Iterable[InvariantReport]) -> str:
-    return stitch_table([table_part(rows)])
+    return "".join(stitch_table([table_part(rows)]))
 
 
 FORMATS = {

@@ -8,13 +8,15 @@ substrings up to a size cap (``multi-contraction``).
 Each p is one unit of work.  A unit builds that p's rows sorted by
 (q, label), re-validating the C cross-check of every row, applies the
 ``--dedup-conjugate`` and ``--positive`` filters, and turns what is left
-into a part.  For ``scan_text`` the part is that p's output already
-rendered by one of ``render.FORMATS``, so a worker process sends back text
-and the parent only stitches the parts; ``scan`` keeps the reports
-themselves.  The units are mapped over p in process or by a process pool,
-whose ``map`` returns them in p order, so the rows are sorted by
-(p, q, label) and the output is byte-identical regardless of how many
-workers produced it.
+into a part.  For ``scan_pieces`` the part is that p's output already
+rendered by one of ``render.FORMATS`` into a compact part (text, and for
+the table its column widths), so a worker process sends back text and the
+parent only holds the parts; ``scan`` keeps the reports themselves.  The
+units are mapped over p in process or by a process pool, whose ``map``
+returns them in p order, so the rows are sorted by (p, q, label) and the
+output is byte-identical regardless of how many workers produced it.  The
+output is written once the scan completes, as the stitcher yields it, so no
+joined copy of it is built.
 
 The environment variable SINGLAB_ROW_LIMIT (default 10_000_000) bounds the
 number of generated rows, counted before the filters.  It is checked as the
@@ -29,6 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from math import gcd
+from typing import Iterator
 
 from .chains import CyclicQuotient
 from .errors import RowLimitExceeded, SinglabError
@@ -41,7 +44,7 @@ from .invariants import (
 )
 from .render import FORMATS
 
-__all__ = ["MODES", "SearchQuery", "scan", "scan_text", "row_limit"]
+__all__ = ["MODES", "SearchQuery", "scan", "scan_pieces", "row_limit"]
 
 MODES = ("artin-only", "single-contraction", "multi-contraction")
 
@@ -91,11 +94,11 @@ def _disjoint_subsets(intervals, cap):
     # in lexicographic order of the chosen index tuple.
     def extend(start, chosen_stop, chosen):
         for i in range(start, len(intervals)):
-            a, b, _ = intervals[i]
+            a, b, _ = iv = intervals[i]
             if a <= chosen_stop:
                 continue
-            picked = chosen + [i]
-            yield [intervals[j] for j in picked]
+            picked = chosen + [iv]
+            yield picked
             if len(picked) < cap:
                 yield from extend(i + 1, b, picked)
 
@@ -165,12 +168,15 @@ def scan(query: SearchQuery) -> list[InvariantReport]:
     return [row for part in _parts(query, list) for row in part]
 
 
-def scan_text(query: SearchQuery, fmt: str) -> str:
-    """Run the scan and return its rows rendered as ``fmt``.
+def scan_pieces(query: SearchQuery, fmt: str) -> Iterator[str]:
+    """Run the scan and return its rows rendered as ``fmt``, in pieces.
 
     ``fmt`` is a key of ``render.FORMATS`` ("table", "json" or "csv").  The
-    text equals ``render_<fmt>(scan(query))``; each p is rendered by the
-    unit that computed it.
+    scan completes before this returns, so a row-limit abort or a failed
+    check raises before any piece exists.  ``"".join`` of the pieces equals
+    ``render_<fmt>(scan(query))``; each p is rendered by the unit that
+    computed it, and the stitcher pads or brackets a part only as its
+    piece is taken.
     """
     if fmt not in FORMATS:
         raise SinglabError(f"format must be one of {tuple(FORMATS)}, got {fmt!r}")

@@ -4,7 +4,15 @@ import subprocess
 
 import pytest
 
-from singlab import RowLimitExceeded, SearchQuery, scan
+from singlab import (
+    InternalCheckError,
+    InvalidConfiguration,
+    RowLimitExceeded,
+    SearchQuery,
+    cli,
+    scan,
+    search,
+)
 from singlab.cli import main
 from singlab.render import FORMATS, render_csv, render_json, render_table
 
@@ -159,6 +167,17 @@ def test_search_output_equals_rendered_scan(capsys, mode, flags):
             assert out == expected, (fmt, workers)
 
 
+def test_search_output_in_small_blocks(capsys, monkeypatch):
+    # search joins pieces into blocks before writing; blocks far smaller
+    # than the output must give the same bytes.
+    expected = render_table(scan(SearchQuery(p_max=20, mode="single-contraction")))
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 300)
+    code, out, _ = run(capsys, "search", "--p-max", "20", "--mode", "single-contraction")
+    assert code == 0
+    assert out == expected
+    assert len(out) > 10 * cli._WRITE_BLOCK
+
+
 def test_stitchers_with_no_rows():
     header = {
         "table": "p  q  chain  k  sum_e  q_inv  eta  b2  C  label\n",
@@ -166,8 +185,8 @@ def test_stitchers_with_no_rows():
         "csv": "p,q,chain,k,sum_e,q_inv,eta,b2,c,positive,label\n",
     }
     for fmt, (part, stitch) in FORMATS.items():
-        assert stitch([]) == header[fmt]
-        assert stitch([part([]), part([])]) == header[fmt]
+        assert "".join(stitch([])) == header[fmt]
+        assert "".join(stitch([part([]), part([])])) == header[fmt]
         assert RENDERERS[fmt]([]) == header[fmt]
 
 
@@ -187,6 +206,35 @@ def test_search_row_limit_counts_rows_before_filters(capsys, monkeypatch):
             assert code == 3
             assert out == ""
             assert "SINGLAB_ROW_LIMIT" in err
+
+
+def test_search_failure_at_the_last_p_prints_nothing(capsys, monkeypatch):
+    # Nothing may reach stdout before the last p has been computed.  An
+    # invalid-input error exits 2; a failed internal check is a bug and
+    # propagates out of main.  Neither leaves a partial output.
+    real_p_rows = search._p_rows
+    raised = {}
+
+    def failing_p_rows(p, mode, cap):
+        if p == 12:
+            raise raised["error"](f"injected failure at p = {p}")
+        return real_p_rows(p, mode, cap)
+
+    monkeypatch.setattr(search, "_p_rows", failing_p_rows)
+    # Write each piece as soon as it exists, so that any output produced
+    # before the failure would show.
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 1)
+    argv = ("search", "--p-max", "12", "--workers", "1", "--format")
+    for fmt in FORMATS:
+        raised["error"] = InvalidConfiguration
+        code, out, err = run(capsys, *argv, fmt)
+        assert code == 2
+        assert out == ""
+        assert "injected failure" in err
+        raised["error"] = InternalCheckError
+        with pytest.raises(InternalCheckError, match="injected failure"):
+            main([*argv, fmt])
+        assert capsys.readouterr().out == ""
 
 
 def test_search_worker_determinism(capsys):
