@@ -75,16 +75,13 @@ def eta_exact(g: CyclicQuotient) -> Fraction:
 def eta_cotangent(g: CyclicQuotient) -> float:
     """Double-precision eta invariant via the cotangent defect sum."""
     p, q = g.p, g.q
-    # cot(pi*m/p) for m in [1, p-1]; index 0 unused.  Built per call: a
-    # cache of p-float tables would outlive the query.
-    cot = [0.0] * p
-    for m in range(1, p):
-        x = pi * m / p
-        cot[m] = cos(x) / sin(x)
+    # Both cotangents are computed per term, so memory stays O(1) in p.
     total = 0.0
     comp = 0.0
     for j in range(1, p):
-        term = cot[j] * cot[(j * q) % p]
+        x_j = pi * j / p
+        x_jq = pi * (j * q % p) / p
+        term = (cos(x_j) / sin(x_j)) * (cos(x_jq) / sin(x_jq))
         y = term - comp
         t = total + y
         comp = (t - total) - y

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .chains import CyclicQuotient, ResolutionChain, chain_to_quotient, hj_resolve
 from .errors import (
@@ -37,6 +37,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .eta import _eta_num
+from .exact import cf_eval_pair
 from .type_t import TypeTParams, recognize_type_t, type_t_string
 
 __all__ = [
@@ -54,9 +55,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ContractedInterval:
-    """A contracted substring chain[start..stop] (inclusive) with its params."""
+class ContractedInterval(NamedTuple):
+    """A contracted substring chain[start..stop] (inclusive) with its params.
+
+    A plain named tuple, so it unpacks as (start, stop, params) and equals
+    the tuple of its fields.
+    """
 
     start: int
     stop: int
@@ -116,8 +120,10 @@ class InvariantReport:
 
 
 def artin_configuration(g: CyclicQuotient) -> ResolutionConfiguration:
-    """The configuration with nothing contracted."""
-    return ResolutionConfiguration(g, hj_resolve(g), ())
+    """The configuration with nothing contracted: ``configuration(g, ())``,
+    so its chain is resolved in one place.  A scan builds each contracted
+    row from this chain and the hits of ``find_type_t_substrings``."""
+    return configuration(g, ())
 
 
 def configuration(
@@ -146,7 +152,9 @@ def configuration(
                 f"substring {tuple(chain[a:b + 1])} at [{a}..{b}] is not type T"
             )
         contracted.append(ContractedInterval(a, b, params))
-    contracted.sort(key=lambda iv: iv.start)
+    # The intervals are disjoint, so their starts differ and tuple order is
+    # start order.
+    contracted.sort()
     return ResolutionConfiguration(g, chain, tuple(contracted))
 
 
@@ -188,10 +196,8 @@ def configuration_invariants(cfg: ResolutionConfiguration) -> InvariantReport:
     )
 
 
-def find_type_t_substrings(
-    chain: Sequence[int],
-) -> list[tuple[int, int, TypeTParams]]:
-    """All (start, stop, params) with chain[start..stop] a type-T substring.
+def find_type_t_substrings(chain: Sequence[int]) -> list[ContractedInterval]:
+    """Every type-T substring chain[start..stop], sorted by (start, stop).
 
     The chain must be minimal (every entry >= 2); otherwise NonMinimalChain
     is raised, as recognize_type_t does.  A type-T substring peels back to a
@@ -205,6 +211,11 @@ def find_type_t_substrings(
     both ends equal to the chain is a hit.  A hit allows neither move and
     every other state at most one, so only a core entry > 4 forks (one walk
     per side) and the cost is O(k + total walk length).
+
+    Each hit is then checked by a second route: the continued fraction of
+    chain[start..stop] must be (r*s*d - 1)/(r^2*s) for the walk's params,
+    else InternalCheckError is raised.  That costs O(length) per hit, so
+    the sweep stays output-sensitive.
     """
     if min(chain, default=2) < 2:
         raise NonMinimalChain(
@@ -221,7 +232,7 @@ def find_type_t_substrings(
             walks.append((prev, i, 3, 3, 2, i - prev + 1, 1))
         prev = i
         if e == 4:
-            found.append((i, i, TypeTParams(2, 1, 1)))
+            found.append(ContractedInterval(i, i, TypeTParams(2, 1, 1)))
         elif e > 4:
             # The core (4) lies below the entry, so both first moves apply.
             if i > 0:
@@ -232,7 +243,7 @@ def find_type_t_substrings(
         while True:
             if v_left == chain[a]:
                 if v_right == chain[b]:
-                    found.append((a, b, TypeTParams(r, s, d)))
+                    found.append(ContractedInterval(a, b, TypeTParams(r, s, d)))
                     break
                 if a == 0:
                     break
@@ -241,6 +252,11 @@ def find_type_t_substrings(
                 b, v_left, v_right, r = b + 1, v_left + 1, 2, r + d
             else:
                 break
+    for a, b, t in found:
+        if cf_eval_pair(chain[a : b + 1]) != (t.r * t.s * t.d - 1, t.r * t.r * t.s):
+            raise InternalCheckError(
+                f"type-T hit [{a}..{b}] = {t.label()} fails the continued-fraction check"
+            )
     found.sort()
     return found
 

@@ -5,13 +5,17 @@ Artin report plus, depending on the mode, one report per contracted type-T
 substring of the chain (``single-contraction``) or per disjoint set of such
 substrings up to a size cap (``multi-contraction``).
 
-Each p is one unit of work.  A unit builds that p's rows sorted by
-(q, label), re-validating the C cross-check of every row, applies the
-``--dedup-conjugate`` and ``--positive`` filters, and turns what is left
-into a part.  For ``scan_pieces`` the part is that p's output already
-rendered by one of ``render.FORMATS`` into a compact part (text, and for
-the table its column widths), so a worker process sends back text and the
-parent only holds the parts; ``scan`` keeps the reports themselves.  The
+Each p is one unit of work.  A unit resolves each pair's chain once, through
+``artin_configuration``, and builds every contracted row from that chain and
+a disjoint subset of the hits of ``find_type_t_substrings``, which checked
+each hit against its continued fraction; a row is not re-resolved or
+re-recognised.  The unit sorts the rows by (q, label), re-validating the C
+cross-check of every row, applies the ``--dedup-conjugate`` and
+``--positive`` filters, and turns what is left into a part.  For
+``scan_pieces`` the part is that p's output already rendered by one of
+``render.FORMATS`` into a compact part (text, and for the table its column
+widths), so a worker process sends back text and the parent only holds the
+parts; ``scan`` keeps the reports themselves.  The
 units are mapped over p in process or by a process pool, whose ``map``
 returns them in p order, so the rows are sorted by (p, q, label) and the
 output is byte-identical regardless of how many workers produced it.  The
@@ -37,8 +41,8 @@ from .chains import CyclicQuotient
 from .errors import RowLimitExceeded, SinglabError
 from .invariants import (
     InvariantReport,
+    ResolutionConfiguration,
     artin_configuration,
-    configuration,
     configuration_invariants,
     find_type_t_substrings,
 )
@@ -117,14 +121,15 @@ def _p_rows(p: int, mode: str, cap: int) -> list[InvariantReport]:
         if gcd(p, q) != 1:
             continue
         g = CyclicQuotient(p, q)
-        artin = configuration_invariants(artin_configuration(g))
-        rows.append(artin)
+        cfg = artin_configuration(g)
+        rows.append(configuration_invariants(cfg))
         if mode == "artin-only":
             continue
-        subs = find_type_t_substrings(artin.chain)
-        for chosen in _disjoint_subsets(subs, cap):
-            cfg = configuration(g, [(a, b) for a, b, _ in chosen])
-            rows.append(configuration_invariants(cfg))
+        # The hits are disjoint within a subset and sorted by start, so each
+        # subset is a valid configuration as it stands.
+        for chosen in _disjoint_subsets(find_type_t_substrings(cfg.chain), cap):
+            contracted = ResolutionConfiguration(g, cfg.chain, tuple(chosen))
+            rows.append(configuration_invariants(contracted))
     rows.sort(key=lambda row: (row.q, row.label))
     return rows
 

@@ -1,18 +1,26 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from singlab import (
+    CyclicQuotient,
+    InternalCheckError,
+    ResolutionConfiguration,
     RowLimitExceeded,
     SearchQuery,
     SinglabError,
+    configuration,
+    find_type_t_substrings,
+    hj_resolve,
+    invariants,
     scan,
     search,
 )
 from singlab.render import render_csv, render_json, render_table
-from singlab.search import row_limit
+from singlab.search import _disjoint_subsets, row_limit
 
 
 def test_query_validation():
@@ -246,3 +254,34 @@ def test_table_format():
     # positive C values carry the trailing marker
     assert all("+" in line for line in lines[1:])
     assert render_table([]).splitlines()[0].split()[0] == "p"
+
+
+def test_scan_rows_match_the_validating_builder():
+    # The scan builds each contracted configuration from the sweep's hits;
+    # configuration() re-resolves the chain, checks bounds and overlaps and
+    # re-recognises every substring, so it is the reference for those rows.
+    for p in range(2, 61):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            g = CyclicQuotient(p, q)
+            chain = hj_resolve(g)
+            for chosen in _disjoint_subsets(find_type_t_substrings(chain), 3):
+                built = ResolutionConfiguration(g, chain, tuple(chosen))
+                assert built == configuration(g, [(iv.start, iv.stop) for iv in chosen])
+
+
+def test_sweep_checks_every_hit(monkeypatch):
+    # The scan does not re-recognise its substrings, so the sweep's
+    # continued-fraction check on each hit is what catches a wrong walk.
+    true_pair = invariants.cf_eval_pair
+
+    def wrong_pair(chain):
+        num, den = true_pair(chain)
+        return num + 1, den
+
+    monkeypatch.setattr(invariants, "cf_eval_pair", wrong_pair)
+    with pytest.raises(InternalCheckError, match=r"\[0\.\.1\] = T\(3,1,1\)"):
+        find_type_t_substrings((5, 2))
+    with pytest.raises(InternalCheckError):
+        scan(SearchQuery(p_max=12, mode="single-contraction"))
