@@ -9,8 +9,9 @@ Each p is one unit of work.  A unit resolves each pair's chain once, through
 ``artin_configuration``, and builds every contracted row from that chain and
 a disjoint subset of the hits of ``find_type_t_substrings``, which checked
 each hit against its continued fraction; a row is not re-resolved or
-re-recognised.  The unit sorts the rows by (q, label), re-validating the C
-cross-check of every row, applies the ``--dedup-conjugate`` and
+re-recognised.  Each row's report comes from ``configuration_invariants``,
+which checks the chain-sum eta against the Dedekind-sum eta once per row.
+The unit sorts the rows by (q, label), applies the ``--dedup-conjugate`` and
 ``--positive`` filters, and turns what is left into a part.  For
 ``scan_pieces`` the part is that p's output already rendered by one of
 ``render.FORMATS`` into a compact part (text, and for the table its column

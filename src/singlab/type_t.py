@@ -9,8 +9,10 @@ way to recognize them, used as a cross-check against the arithmetic test.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
@@ -164,28 +166,31 @@ def _peel_to_seed(chain: Sequence[int]) -> Optional[int]:
     # Undo grow moves until a seed is reached.  Undoing grow_left needs
     # c[0] == 2 and undoing grow_right needs c[0] >= 3, so at most one move
     # applies at each step, and on a minimal chain neither pushes an entry
-    # below 2.  Returns the s of the seed reached, else None.
-    c = tuple(chain)
-    while True:
-        if c == (4,):
-            return 1
-        if len(c) < 2:
-            return None
-        if c[0] == 3 and c[-1] == 3 and all(e == 2 for e in c[1:-1]):
-            return len(c)
+    # below 2.  No move applies to a seed, so the seed test runs once, after
+    # the loop; each move pops one end and lowers the other in place, so the
+    # peel is O(len(chain)).  Returns the s of the seed reached, else None.
+    c = deque(chain)
+    while len(c) >= 2:
         if c[0] == 2 and c[-1] >= 3:
-            c = c[1:-1] + (c[-1] - 1,)
+            c.popleft()
+            c[-1] -= 1
         elif c[-1] == 2 and c[0] >= 3:
-            c = (c[0] - 1,) + c[1:-1]
+            c.pop()
+            c[0] -= 1
         else:
-            return None
+            break
+    if len(c) == 1:
+        return 1 if c[0] == 4 else None
+    if c and c[0] == c[-1] == 3 and all(e == 2 for e in islice(c, 1, len(c) - 1)):
+        return len(c)
+    return None
 
 
-def recognize_type_t(chain: ResolutionChain) -> Optional[TypeTParams]:
+def recognize_type_t(chain: Sequence[int]) -> Optional[TypeTParams]:
     """Parameters of a type-T chain, or None for anything else.
 
     Runs both the arithmetic test and the graph-peeling test; they must
-    agree, and disagreement raises InternalCheckError.
+    agree, and disagreement raises InternalCheckError.  Both are O(len(chain)).
     """
     if len(chain) == 0:
         return None
@@ -196,15 +201,10 @@ def recognize_type_t(chain: ResolutionChain) -> Optional[TypeTParams]:
     q, p = cf_eval_pair(chain)
     params = _params_of_pair(q, p, 2 + 3 * len(chain) - sum(chain))
     seed_s = _peel_to_seed(chain)
-    if (params is None) != (seed_s is None):
+    if (params.s if params else None) != seed_s:
         raise InternalCheckError(
             f"recognizers disagree on {tuple(chain)}: arithmetic={params}, "
             f"peeling seed s={seed_s}"
-        )
-    if params is not None and params.s != seed_s:
-        raise InternalCheckError(
-            f"recognizers disagree on s for {tuple(chain)}: "
-            f"arithmetic s={params.s}, peeling s={seed_s}"
         )
     return params
 

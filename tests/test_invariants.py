@@ -70,10 +70,15 @@ def test_configuration_validation():
     with pytest.raises(InvalidConfiguration):
         configuration(g, [(1, 1)])  # (2) is not type T
     g2 = CyclicQuotient(13, 10)  # chain (2,2,2,4)
-    with pytest.raises(InvalidConfiguration):
-        configuration(g2, [(3, 3), (2, 3)])  # overlap
+    for overlap in ([(3, 3), (2, 3)], [(2, 3), (3, 3)], [(3, 3), (3, 3)]):
+        with pytest.raises(InvalidConfiguration):
+            configuration(g2, overlap)
     cfg = configuration(g2, [(3, 3)])
     assert cfg.contracted[0].params == TypeTParams(2, 1, 1)
+    # intervals come back sorted by start, whatever order they are given in
+    g3 = chain_to_quotient(ResolutionChain((4, 3, 4)))
+    cfg = configuration(g3, [(2, 2), (0, 0)])
+    assert [(iv.start, iv.stop) for iv in cfg.contracted] == [(0, 0), (2, 2)]
 
 
 def test_multi_interval_label():

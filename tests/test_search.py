@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from singlab import (
     CyclicQuotient,
@@ -269,6 +270,20 @@ def test_scan_rows_match_the_validating_builder():
             for chosen in _disjoint_subsets(find_type_t_substrings(chain), 3):
                 built = ResolutionConfiguration(g, chain, tuple(chosen))
                 assert built == configuration(g, [(iv.start, iv.stop) for iv in chosen])
+
+
+@given(st.integers(2, 10**9), st.integers(1, 10**9))
+def test_scan_rows_match_the_validating_builder_at_large_p(p, q0):
+    # The same reference past the p <= 60 window: recognition is linear in
+    # the substring length, so configuration() keeps up at any p.
+    q = q0 % p
+    assume(q != 0 and gcd(p, q) == 1)
+    g = CyclicQuotient(p, q)
+    chain = hj_resolve(g)
+    assume(len(chain) <= 200)
+    for chosen in _disjoint_subsets(find_type_t_substrings(chain), 3):
+        built = ResolutionConfiguration(g, chain, tuple(chosen))
+        assert built == configuration(g, [(iv.start, iv.stop) for iv in chosen])
 
 
 def test_sweep_checks_every_hit(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from singlab import (
     CyclicQuotient,
@@ -11,6 +12,8 @@ from singlab import (
     ResolutionChain,
     SinglabError,
     TypeTParams,
+    chain_to_quotient,
+    configuration,
     conjugate,
     enumerate_type_t,
     grow_left,
@@ -23,6 +26,7 @@ from singlab import (
     type_t_invariants,
     type_t_string,
 )
+from singlab.type_t import _peel_to_seed
 
 
 def _phi(n):
@@ -173,6 +177,29 @@ def test_recognize_examples():
     assert recognize_type_t(ResolutionChain((2, 2, 2))) is None
     assert recognize_type_t(ResolutionChain(())) is None
     assert recognize_type_t(ResolutionChain((3, 5, 2))) == TypeTParams(5, 1, 2)
+    assert _peel_to_seed(()) is None
+
+
+@st.composite
+def _long_type_t_params(draw):
+    # d in {1, r-1} gives the longest chain of its (r, s) cell, r + s - 2
+    r = draw(st.integers(2, 10**4))
+    d = draw(st.one_of(st.sampled_from((1, r - 1)), st.integers(1, r - 1)))
+    assume(gcd(r, d) == 1)
+    return TypeTParams(r, draw(st.integers(1, 6)), d)
+
+
+@settings(deadline=None)  # a correctness property; no time is asserted
+@given(_long_type_t_params())
+@example(TypeTParams(10**4, 6, 10**4 - 1))
+def test_recognize_long_type_t_strings(params):
+    assert recognize_type_t(type_t_string(params)) == params
+
+
+def test_configuration_on_a_long_type_t_chain():
+    chain = ResolutionChain((2,) * 19999 + (20003,))
+    cfg = configuration(chain_to_quotient(chain), [(0, 19999)])
+    assert cfg.contracted == ((0, 19999, TypeTParams(20001, 1, 20000)),)
 
 
 def test_recognize_rejects_non_minimal():
