@@ -103,6 +103,11 @@ class ResolutionChain(tuple):
     def __repr__(self) -> str:
         return f"ResolutionChain{tuple.__repr__(self)}"
 
+    def __reduce__(self):
+        # Every entry was checked when the chain was built, so unpickling
+        # (a scan worker's records, say) restores it without a second check.
+        return tuple.__new__, (ResolutionChain, tuple(self))
+
 
 @dataclass(frozen=True)
 class OnCurve:

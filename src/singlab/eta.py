@@ -2,7 +2,7 @@
 
 Three routes are written in the library, each exactly once:
 
-* the chain sums, in ``invariants.configuration_invariants``,
+* the chain sums, in the pair record of :mod:`singlab.invariants`,
 
       eta = (1/3) * (sum(e_i) + (q^(-1;p) + q)/p) - k,
 
@@ -11,7 +11,7 @@ Three routes are written in the library, each exactly once:
 * ``eta_exact`` -- the Dedekind sum, eta = 4*s(q, p), evaluated exactly from
   one Euclidean run on (p, q) in O(log p) steps; it uses neither the chain
   nor q^(-1;p), so it is an independent check on the chain sums, which
-  ``configuration_invariants`` runs on every report;
+  runs once per pair, for every report and every scan row;
 
 * ``eta_cotangent`` -- the defect sum over the nontrivial group elements,
 

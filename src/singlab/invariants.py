@@ -13,11 +13,17 @@ computed from the one chain-sum route for eta,
 
     3*p*eta = p*sum(e) + q^(-1;p) + q - 3*k*p,
 
-as an integer numerator over p; Fractions are built only for the report.
-Every report checks that numerator against the Dedekind-sum route of
-:mod:`singlab.eta` (eta = 4*s(q, p)), which reads neither the chain nor
-q^(-1;p), so a wrong chain entry or a wrong inverse raises
-InternalCheckError.
+as an integer numerator over p; Fractions are built only for a report.
+That numerator depends only on the pair (p, q), so it is computed once per
+pair, in a pair record (q, chain, k, sum_e, q_inv, eta_num), and checked
+there against the Dedekind-sum route of :mod:`singlab.eta`
+(eta = 4*s(q, p)), which reads neither the chain nor q^(-1;p): a wrong
+chain entry or a wrong inverse raises InternalCheckError.  A configuration
+of the pair adds the row (b2, c_num, label), with p*C = c_num.
+``configuration_invariants`` turns one configuration into an
+``InvariantReport``; it is the route for point queries and the CLI, and
+the reference for a scan, which builds its rows from pair records
+(:mod:`singlab.search`).
 """
 
 from __future__ import annotations
@@ -86,11 +92,10 @@ class ResolutionConfiguration:
     def b2(self) -> int:
         """Second Betti number of the smoothing: the curves of each
         contracted substring are traded for s - 1 classes."""
-        return (
-            len(self.chain)
-            - sum(iv.length for iv in self.contracted)
-            + sum(iv.params.s - 1 for iv in self.contracted)
-        )
+        b2 = len(self.chain)
+        for iv in self.contracted:
+            b2 += iv.params.s - 1 - iv.length
+        return b2
 
     @property
     def is_artin(self) -> bool:
@@ -155,29 +160,33 @@ def configuration(
     return ResolutionConfiguration(g, chain, tuple(contracted))
 
 
-def configuration_invariants(cfg: ResolutionConfiguration) -> InvariantReport:
-    """Invariant report of one configuration.
-
-    Raises InternalCheckError if the chain-sum eta disagrees with the
-    Dedekind-sum eta of the quotient.
-    """
-    g = cfg.quotient
+def _pair_record(g: CyclicQuotient, chain: Sequence[int]) -> tuple:
+    # (q, chain, k, sum_e, q_inv, eta_num) of a quotient and its minimal
+    # chain, with eta_num = 3*p*eta from the chain sums.  Every row of the
+    # pair shares these facts, so the Dedekind check runs here, once per pair.
     p, q = g.p, g.q
-    chain = cfg.chain
     k = len(chain)
     sum_e = sum(chain)
     q_inv = g.q_inverse()
-    b2 = cfg.b2
-    # Integer numerators: 3*p*eta = eta_num and p*C = c_num.
     eta_num = p * sum_e + q_inv + q - 3 * k * p
     dedekind_num = _eta_num(p, q)
     if eta_num != dedekind_num:
         raise InternalCheckError(
-            f"eta cross-check failed for (p, q) = ({p}, {q}), "
-            f"label {cfg.label()}: chain sums give {Fraction(eta_num, 3 * p)}, "
-            f"the Dedekind sum {Fraction(dedekind_num, 3 * p)}"
+            f"eta cross-check failed for (p, q) = ({p}, {q}): chain sums give "
+            f"{Fraction(eta_num, 3 * p)}, the Dedekind sum {Fraction(dedekind_num, 3 * p)}"
         )
-    c_num = (2 - b2) * p + 2 - eta_num
+    return q, chain, k, sum_e, q_inv, eta_num
+
+
+def _row(p: int, eta_num: int, b2: int, label: str) -> tuple[int, int, str]:
+    # (b2, c_num, label) of one configuration of the pair: p*C = c_num.
+    return b2, (2 - b2) * p + 2 - eta_num, label
+
+
+def _report(p: int, pair: tuple, row: tuple[int, int, str]) -> InvariantReport:
+    # The report of one row of a pair record.
+    q, chain, k, sum_e, q_inv, eta_num = pair
+    b2, c_num, label = row
     return InvariantReport(
         p=p,
         q=q,
@@ -189,8 +198,21 @@ def configuration_invariants(cfg: ResolutionConfiguration) -> InvariantReport:
         b2=b2,
         c_value=Fraction(c_num, p),
         positive=c_num > 0,
-        label=cfg.label(),
+        label=label,
     )
+
+
+def configuration_invariants(cfg: ResolutionConfiguration) -> InvariantReport:
+    """Invariant report of one configuration.
+
+    This is the route for point queries and the CLI, and the reference a
+    scan's rows are tested against; a scan computes the pair-level facts
+    once per pair instead.  Raises InternalCheckError if the chain-sum eta
+    disagrees with the Dedekind-sum eta of the quotient.
+    """
+    p = cfg.quotient.p
+    pair = _pair_record(cfg.quotient, cfg.chain)
+    return _report(p, pair, _row(p, pair[5], cfg.b2, cfg.label()))
 
 
 def find_type_t_substrings(chain: Sequence[int]) -> list[ContractedInterval]:

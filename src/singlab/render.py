@@ -5,23 +5,29 @@ a 15-significant-digit decimal convenience string, CSV carries "num/den"
 text, and the table marks positive C with a trailing "+".
 
 Each format is a pair of functions.  The part function renders a run of
-rows (a scan renders one p at a time) into a compact, picklable part: CSV
-body lines, JSON object lines joined by ",\\n", or, for the table, the
-part's column widths plus one string holding its rows, one line per row
-with the cells joined by a tab.  The stitcher yields the output in pieces,
-in order: what the format writes once (the CSV header, the JSON brackets,
-the table header) and each part, the table's padded to the column widths
-over all parts.  A caller can write the pieces one at a time, so no joined
-copy of the output is built.  ``FORMATS`` maps each format name to its
-pair, and ``render_<fmt>(rows)`` joins the pieces of a single part.
+records into a compact, picklable part: CSV body lines, JSON object lines
+joined by ",\\n", or, for the table, the part's column widths plus one
+string holding its rows, one line per row with the cells joined by a tab.
+A record is (p, pair, rows): the pair record (q, chain, k, sum_e, q_inv,
+eta_num) with 3*p*eta = eta_num, and the pair's rows (b2, c_num, label)
+with p*C = c_num (a scan renders one p at a time).  The pair's cells are
+formatted once per record and only b2, C, positive and the label per row.
+The stitcher yields the output in pieces, in order: what the format writes
+once (the CSV header, the JSON brackets, the table header) and each part,
+the table's padded to the column widths over all parts.  A caller can write
+the pieces one at a time, so no joined copy of the output is built.
+``FORMATS`` maps each format name to its pair, and ``render_<fmt>(rows)``
+turns invariant reports into records and joins the pieces of a single part,
+so each row format is written once.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from fractions import Fraction
+from itertools import groupby
+from math import gcd
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .exact import decimal_str
@@ -43,41 +49,62 @@ __all__ = [
 
 
 def chain_text(chain: Sequence[int]) -> str:
-    return "(" + ",".join(str(e) for e in chain) + ")"
+    return "(" + ",".join(map(str, chain)) + ")"
 
 
-def _num_den(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _ratio(num: int, den: int) -> str:
+    # num/den in lowest terms, as Fraction prints it: den > 0 and 0 is 0/1.
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
-def _rational_obj(x: Fraction) -> dict:
-    return {
-        "num": str(x.numerator),
-        "den": str(x.denominator),
-        "approx": decimal_str(x),
-    }
-
-
-def json_part(rows: Iterable[InvariantReport]) -> str:
-    """One JSON object per row, joined by ",\\n" ("" for no rows)."""
-    return ",\n".join(
-        json.dumps(
-            {
-                "p": row.p,
-                "q": row.q,
-                "chain": list(row.chain),
-                "k": row.k,
-                "sum_e": row.sum_e,
-                "q_inv": row.q_inv,
-                "eta": _rational_obj(row.eta),
-                "b2": row.b2,
-                "c": _rational_obj(row.c_value),
-                "positive": row.positive,
-                "label": row.label,
-            }
-        )
-        for row in rows
+def _rational_json(num: int, den: int) -> str:
+    # {"num", "den", "approx"} of num/den; int true division rounds
+    # correctly, so the float is float(Fraction(num, den)).
+    g = gcd(num, den)
+    return (
+        f'{{"num": "{num // g}", "den": "{den // g}", '
+        f'"approx": "{decimal_str(num / den)}"}}'
     )
+
+
+def _over(x: Fraction, den: int) -> int:
+    # The integer numerator of x over den; a report's eta is over 3p and
+    # its C over p.
+    num, rest = divmod(x.numerator * den, x.denominator)
+    if rest:
+        raise ValueError(f"{x} is not a fraction over {den}")
+    return num
+
+
+def _records(rows: Iterable[InvariantReport]) -> Iterator[tuple[int, tuple, list]]:
+    # One (p, pair, rows) record per run of consecutive rows that share their
+    # pair-level fields; each row keeps (b2, c_num, label).
+    pair_fields = attrgetter("p", "q", "chain", "k", "sum_e", "q_inv", "eta")
+    for (p, q, chain, k, sum_e, q_inv, eta), same in groupby(rows, key=pair_fields):
+        yield (
+            p,
+            (q, chain, k, sum_e, q_inv, _over(eta, 3 * p)),
+            [(row.b2, _over(row.c_value, p), row.label) for row in same],
+        )
+
+
+def json_part(records: Iterable[tuple[int, tuple, list]]) -> str:
+    """One JSON object per row, joined by ",\\n" ("" for no rows)."""
+    lines = []
+    for p, (q, chain, k, sum_e, q_inv, eta_num), rows in records:
+        head = (
+            f'{{"p": {p}, "q": {q}, "chain": [{", ".join(map(str, chain))}], '
+            f'"k": {k}, "sum_e": {sum_e}, "q_inv": {q_inv}, '
+            f'"eta": {_rational_json(eta_num, 3 * p)}, "b2": '
+        )
+        for b2, c_num, label in rows:
+            lines.append(
+                f'{head}{b2}, "c": {_rational_json(c_num, p)}, '
+                f'"positive": {"true" if c_num > 0 else "false"}, '
+                f'"label": {json.dumps(label)}}}'
+            )
+    return ",\n".join(lines)
 
 
 def stitch_json(parts: Iterable[str]) -> Iterator[str]:
@@ -92,32 +119,34 @@ def stitch_json(parts: Iterable[str]) -> Iterator[str]:
 
 
 def render_json(rows: Iterable[InvariantReport]) -> str:
-    return "".join(stitch_json([json_part(rows)]))
+    return "".join(stitch_json([json_part(_records(rows))]))
 
 
 _CSV_HEADER = "p,q,chain,k,sum_e,q_inv,eta,b2,c,positive,label\n"
 
 
-def csv_part(rows: Iterable[InvariantReport]) -> str:
+def _csv_field(text: str) -> str:
+    # A text cell as csv.writer's minimal quoting writes it with the "\n"
+    # line terminator.
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_part(records: Iterable[tuple[int, tuple, list]]) -> str:
     """The CSV body lines of the rows, without the header."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        [
-            row.p,
-            row.q,
-            chain_text(row.chain),
-            row.k,
-            row.sum_e,
-            row.q_inv,
-            _num_den(row.eta),
-            row.b2,
-            _num_den(row.c_value),
-            "true" if row.positive else "false",
-            row.label,
-        ]
-        for row in rows
-    )
-    return buf.getvalue()
+    lines = []
+    for p, (q, chain, k, sum_e, q_inv, eta_num), rows in records:
+        head = (
+            f"{p},{q},{_csv_field(chain_text(chain))},{k},{sum_e},{q_inv},"
+            f"{_ratio(eta_num, 3 * p)},"
+        )
+        for b2, c_num, label in rows:
+            lines.append(
+                f"{head}{b2},{_ratio(c_num, p)},"
+                f"{'true' if c_num > 0 else 'false'},{_csv_field(label)}\n"
+            )
+    return "".join(lines)
 
 
 def stitch_csv(parts: Iterable[str]) -> Iterator[str]:
@@ -127,36 +156,44 @@ def stitch_csv(parts: Iterable[str]) -> Iterator[str]:
 
 
 def render_csv(rows: Iterable[InvariantReport]) -> str:
-    return "".join(stitch_csv([csv_part(rows)]))
+    return "".join(stitch_csv([csv_part(_records(rows))]))
 
 
 _TABLE_COLUMNS = ("p", "q", "chain", "k", "sum_e", "q_inv", "eta", "b2", "C", "label")
 _LEFT_ALIGNED = {"chain", "label"}
 
 
-def table_part(rows: Iterable[InvariantReport]) -> tuple[tuple[int, ...], str]:
+def table_part(
+    records: Iterable[tuple[int, tuple, list]]
+) -> tuple[tuple[int, ...], str]:
     """The column widths of the rows and their unpadded lines, one string.
 
     Each line holds a row's cells in ``_TABLE_COLUMNS`` order, joined by a
     tab, and the lines are joined by newlines; no cell contains either.
     """
-    records = [
-        (
-            str(row.p),
-            str(row.q),
-            chain_text(row.chain),
-            str(row.k),
-            str(row.sum_e),
-            str(row.q_inv),
-            _num_den(row.eta),
-            str(row.b2),
-            _num_den(row.c_value) + ("+" if row.positive else ""),
-            row.label,
+    pair_cells, row_cells, lines = [], [], []
+    for p, (q, chain, k, sum_e, q_inv, eta_num), rows in records:
+        if not rows:
+            continue
+        cells = (
+            str(p),
+            str(q),
+            chain_text(chain),
+            str(k),
+            str(sum_e),
+            str(q_inv),
+            _ratio(eta_num, 3 * p),
         )
-        for row in rows
-    ]
-    widths = tuple(max(map(len, column)) for column in zip(*records))
-    return widths or (0,) * len(_TABLE_COLUMNS), "\n".join(map("\t".join, records))
+        pair_cells.append(cells)
+        head = "\t".join(cells)
+        for b2, c_num, label in rows:
+            tail = (str(b2), _ratio(c_num, p) + ("+" if c_num > 0 else ""), label)
+            row_cells.append(tail)
+            lines.append(f"{head}\t{tail[0]}\t{tail[1]}\t{label}")
+    widths = tuple(
+        max(map(len, column)) for column in (*zip(*pair_cells), *zip(*row_cells))
+    )
+    return widths or (0,) * len(_TABLE_COLUMNS), "\n".join(lines)
 
 
 def stitch_table(parts: Iterable[tuple[tuple[int, ...], str]]) -> Iterator[str]:
@@ -178,7 +215,7 @@ def stitch_table(parts: Iterable[tuple[tuple[int, ...], str]]) -> Iterator[str]:
 
 
 def render_table(rows: Iterable[InvariantReport]) -> str:
-    return "".join(stitch_table([table_part(rows)]))
+    return "".join(stitch_table([table_part(_records(rows))]))
 
 
 FORMATS = {

@@ -9,19 +9,24 @@ Each p is one unit of work.  A unit resolves each pair's chain once, through
 ``artin_configuration``, and builds every contracted row from that chain and
 a disjoint subset of the hits of ``find_type_t_substrings``, which checked
 each hit against its continued fraction; a row is not re-resolved or
-re-recognised.  Each row's report comes from ``configuration_invariants``,
-which checks the chain-sum eta against the Dedekind-sum eta once per row.
-The unit sorts the rows by (q, label), applies the ``--dedup-conjugate`` and
-``--positive`` filters, and turns what is left into a part.  For
-``scan_pieces`` the part is that p's output already rendered by one of
+re-recognised.  Every row of a pair shares p, q, the chain, k, sum_e,
+q^(-1;p) and eta, so the unit computes them once per pair, as a pair record
+(q, chain, k, sum_e, q_inv, eta_num) whose eta numerator is checked against
+the Dedekind-sum eta there, once per pair; a row adds only
+(b2, c_num, label), and no report is built per row.  The unit sorts each
+pair's rows by label, applies the ``--dedup-conjugate`` and ``--positive``
+filters, and turns the (p, pair, rows) records that are left into a part.
+For ``scan_pieces`` the part is that p's output already rendered by one of
 ``render.FORMATS`` into a compact part (text, and for the table its column
 widths), so a worker process sends back text and the parent only holds the
-parts; ``scan`` keeps the reports themselves.  The
-units are mapped over p in process or by a process pool, whose ``map``
-returns them in p order, so the rows are sorted by (p, q, label) and the
-output is byte-identical regardless of how many workers produced it.  The
-output is written once the scan completes, as the stitcher yields it, so no
-joined copy of it is built.
+parts; for ``scan`` the part is the records, and the parent builds the
+``InvariantReport``s.  ``configuration_invariants`` builds the same report
+for one configuration; it is the reference the scan's rows are tested
+against.  The units are mapped over p in process or by a process pool,
+whose ``map`` returns them in p order, so the rows are sorted by
+(p, q, label) and the output is byte-identical regardless of how many
+workers produced it.  The output is written once the scan completes, as the
+stitcher yields it, so no joined copy of it is built.
 
 The environment variable SINGLAB_ROW_LIMIT (default 10_000_000) bounds the
 number of generated rows, counted before the filters.  It is checked as the
@@ -36,6 +41,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from math import gcd
+from operator import itemgetter
 from typing import Iterator
 
 from .chains import CyclicQuotient
@@ -43,8 +49,10 @@ from .errors import RowLimitExceeded, SinglabError
 from .invariants import (
     InvariantReport,
     ResolutionConfiguration,
+    _pair_record,
+    _report,
+    _row,
     artin_configuration,
-    configuration_invariants,
     find_type_t_substrings,
 )
 from .render import FORMATS
@@ -112,38 +120,45 @@ def _disjoint_subsets(intervals, cap):
     yield from extend(0, -1, [])
 
 
-def _p_rows(p: int, mode: str, cap: int) -> list[InvariantReport]:
-    # Every row with this p, sorted by (q, label).  A single contraction is
-    # a disjoint subset of size one.
-    if mode == "single-contraction":
-        cap = 1
-    rows = []
-    for q in range(1, p):
-        if gcd(p, q) != 1:
-            continue
-        g = CyclicQuotient(p, q)
-        cfg = artin_configuration(g)
-        rows.append(configuration_invariants(cfg))
-        if mode == "artin-only":
-            continue
+def _pair_rows(g: CyclicQuotient, cap: int) -> tuple[tuple, list]:
+    # The pair record of g, (q, chain, k, sum_e, q_inv, eta_num), and its
+    # rows (b2, c_num, label) sorted by label: the Artin row and, if cap > 0,
+    # one row per disjoint subset of at most cap type-T hits.
+    cfg = artin_configuration(g)
+    pair = _pair_record(g, cfg.chain)
+    eta_num = pair[5]
+    rows = [_row(g.p, eta_num, cfg.b2, cfg.label())]
+    if cap:
         # The hits are disjoint within a subset and sorted by start, so each
         # subset is a valid configuration as it stands.
         for chosen in _disjoint_subsets(find_type_t_substrings(cfg.chain), cap):
             contracted = ResolutionConfiguration(g, cfg.chain, tuple(chosen))
-            rows.append(configuration_invariants(contracted))
-    rows.sort(key=lambda row: (row.q, row.label))
-    return rows
+            rows.append(_row(g.p, eta_num, contracted.b2, contracted.label()))
+        rows.sort(key=itemgetter(2))
+    return pair, rows
+
+
+def _p_rows(p: int, mode: str, cap: int) -> Iterator[tuple[tuple, list]]:
+    # _pair_rows of every coprime pair with this p, by ascending q.  A
+    # single contraction is a disjoint subset of size one.
+    cap = {"artin-only": 0, "single-contraction": 1}.get(mode, cap)
+    for q in range(1, p):
+        if gcd(p, q) == 1:
+            yield _pair_rows(CyclicQuotient(p, q), cap)
 
 
 def _p_part(p: int, query: SearchQuery, part):
-    # The rows generated for p, and part() of the rows the filters keep.
-    rows = _p_rows(p, query.mode, query.max_contractions)
-    generated = len(rows)
+    # The rows generated for p, and part() of the (p, pair, rows) records of
+    # the rows the filters keep.
+    pairs = list(_p_rows(p, query.mode, query.max_contractions))
+    generated = sum(len(rows) for _, rows in pairs)
     if query.dedup_conjugate:
-        rows = [row for row in rows if row.q <= row.q_inv]
+        # pair[0] is q and pair[4] is q_inv.
+        pairs = [(pair, rows) for pair, rows in pairs if pair[0] <= pair[4]]
     if query.positive_only:
-        rows = [row for row in rows if row.positive]
-    return generated, part(rows)
+        # row[1] is c_num = p*C.
+        pairs = [(pair, [row for row in rows if row[1] > 0]) for pair, rows in pairs]
+    return generated, part([(p, pair, rows) for pair, rows in pairs])
 
 
 def _parts(query: SearchQuery, part) -> list:
@@ -171,7 +186,14 @@ def _parts(query: SearchQuery, part) -> list:
 
 def scan(query: SearchQuery) -> list[InvariantReport]:
     """Run the scan and return its rows, sorted by (p, q, label)."""
-    return [row for part in _parts(query, list) for row in part]
+    # Each part is a list of records, so a worker sends integers and the
+    # parent builds the reports.
+    return [
+        _report(p, pair, row)
+        for part in _parts(query, list)
+        for p, pair, rows in part
+        for row in rows
+    ]
 
 
 def scan_pieces(query: SearchQuery, fmt: str) -> Iterator[str]:

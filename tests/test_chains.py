@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -57,6 +58,21 @@ def test_chain_validation():
     assert ResolutionChain((1, 4)).is_minimal is False
     assert ResolutionChain((3, 2)).is_minimal is True
     assert ResolutionChain((3, 2)).sum_e == 5
+
+
+def test_chain_unpickles_without_a_second_check(monkeypatch):
+    # A scan worker's records carry chains; the parent restores each one
+    # without checking its entries again.
+    chain = hj_resolve(CyclicQuotient(74, 67))
+    data = pickle.dumps(chain)
+
+    def checked_again(cls, entries=()):
+        raise AssertionError("ResolutionChain.__new__ ran on unpickling")
+
+    monkeypatch.setattr(ResolutionChain, "__new__", checked_again)
+    restored = pickle.loads(data)
+    assert type(restored) is ResolutionChain
+    assert restored == chain and repr(restored) == repr(chain)
 
 
 def test_hj_resolve_examples():

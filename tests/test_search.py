@@ -1,10 +1,15 @@
+import csv
 import hashlib
+import importlib.util
+import io
 import json
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from singlab import (
     CyclicQuotient,
@@ -13,15 +18,28 @@ from singlab import (
     RowLimitExceeded,
     SearchQuery,
     SinglabError,
+    chains,
     configuration,
+    configuration_invariants,
     find_type_t_substrings,
     hj_resolve,
     invariants,
     scan,
     search,
 )
-from singlab.render import render_csv, render_json, render_table
-from singlab.search import _disjoint_subsets, row_limit
+from singlab.exact import decimal_str
+from singlab.render import (
+    FORMATS,
+    render_csv,
+    render_json,
+    render_table,
+    stitch_csv,
+    stitch_json,
+    stitch_table,
+)
+from singlab.search import MODES, _disjoint_subsets, _pair_rows, row_limit, scan_pieces
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_query_validation():
@@ -257,6 +275,19 @@ def test_table_format():
     assert render_table([]).splitlines()[0].split()[0] == "p"
 
 
+def _builder_reports(g, cap):
+    # The reference rows of one pair: configuration_invariants of the Artin
+    # configuration and of configuration(g, intervals) for each disjoint
+    # subset of at most cap hits, sorted by label as a scan sorts them.
+    chain = hj_resolve(g)
+    reports = [configuration_invariants(configuration(g, ()))]
+    if cap:
+        for chosen in _disjoint_subsets(find_type_t_substrings(chain), cap):
+            intervals = [(iv.start, iv.stop) for iv in chosen]
+            reports.append(configuration_invariants(configuration(g, intervals)))
+    return sorted(reports, key=lambda row: row.label)
+
+
 def test_scan_rows_match_the_validating_builder():
     # The scan builds each contracted configuration from the sweep's hits;
     # configuration() re-resolves the chain, checks bounds and overlaps and
@@ -270,6 +301,17 @@ def test_scan_rows_match_the_validating_builder():
             for chosen in _disjoint_subsets(find_type_t_substrings(chain), 3):
                 built = ResolutionConfiguration(g, chain, tuple(chosen))
                 assert built == configuration(g, [(iv.start, iv.stop) for iv in chosen])
+    # The scan's rows come from one pair record per pair, not from
+    # configuration_invariants, which is the reference for every row.
+    for mode, cap in {"artin-only": 0, "single-contraction": 1, "multi-contraction": 3}.items():
+        expected = [
+            report
+            for p in range(2, 61)
+            for q in range(1, p)
+            if gcd(p, q) == 1
+            for report in _builder_reports(CyclicQuotient(p, q), cap)
+        ]
+        assert scan(SearchQuery(p_max=60, mode=mode)) == expected
 
 
 @given(st.integers(2, 10**9), st.integers(1, 10**9))
@@ -300,3 +342,189 @@ def test_sweep_checks_every_hit(monkeypatch):
         find_type_t_substrings((5, 2))
     with pytest.raises(InternalCheckError):
         scan(SearchQuery(p_max=12, mode="single-contraction"))
+
+
+def _bump_q_inverse(monkeypatch):
+    true_inverse = CyclicQuotient.q_inverse
+    monkeypatch.setattr(CyclicQuotient, "q_inverse", lambda g: true_inverse(g) + 1)
+
+
+def _bump_chain_entry(monkeypatch):
+    def bumped(g):
+        chain = hj_resolve(g)
+        return chains.ResolutionChain(chain[:-1] + (chain[-1] + 1,))
+
+    monkeypatch.setattr(invariants, "hj_resolve", bumped)
+
+
+@pytest.mark.parametrize("fault", [_bump_q_inverse, _bump_chain_entry])
+def test_scan_checks_eta_once_per_pair(monkeypatch, fault):
+    # The Dedekind check runs once per pair, on the pair record every row of
+    # the pair is built from, so a wrong inverse or a wrong chain entry
+    # still fails every scan and every rendering of one.
+    fault(monkeypatch)
+    for mode in MODES:
+        query = SearchQuery(p_max=12, mode=mode)
+        with pytest.raises(InternalCheckError, match="eta cross-check"):
+            scan(query)
+        for fmt in FORMATS:
+            with pytest.raises(InternalCheckError, match="eta cross-check"):
+                "".join(scan_pieces(query, fmt))
+
+
+def test_scan_runs_the_dedekind_sum_once_per_pair(monkeypatch):
+    calls = []
+    true_eta_num = invariants._eta_num
+
+    def counted(p, q):
+        calls.append((p, q))
+        return true_eta_num(p, q)
+
+    monkeypatch.setattr(invariants, "_eta_num", counted)
+    pairs = [(p, q) for p in range(2, 31) for q in range(1, p) if gcd(p, q) == 1]
+    for mode in MODES:
+        query = SearchQuery(p_max=30, mode=mode)
+        calls.clear()
+        scan(query)
+        assert calls == pairs
+        for fmt in FORMATS:
+            calls.clear()
+            "".join(scan_pieces(query, fmt))
+            assert calls == pairs
+
+
+# The report-based renderers that the record-based part renderers replaced,
+# kept as their reference: csv.writer, json.dumps and the table cells of
+# each report, then the library's stitchers.
+def _chain_cell(chain):
+    return "(" + ",".join(str(e) for e in chain) + ")"
+
+
+def _num_den(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _rational_obj(x):
+    return {"num": str(x.numerator), "den": str(x.denominator), "approx": decimal_str(x)}
+
+
+def _reference_render_json(rows):
+    part = ",\n".join(
+        json.dumps(
+            {
+                "p": row.p,
+                "q": row.q,
+                "chain": list(row.chain),
+                "k": row.k,
+                "sum_e": row.sum_e,
+                "q_inv": row.q_inv,
+                "eta": _rational_obj(row.eta),
+                "b2": row.b2,
+                "c": _rational_obj(row.c_value),
+                "positive": row.positive,
+                "label": row.label,
+            }
+        )
+        for row in rows
+    )
+    return "".join(stitch_json([part]))
+
+
+def _reference_render_csv(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [
+            row.p,
+            row.q,
+            _chain_cell(row.chain),
+            row.k,
+            row.sum_e,
+            row.q_inv,
+            _num_den(row.eta),
+            row.b2,
+            _num_den(row.c_value),
+            "true" if row.positive else "false",
+            row.label,
+        ]
+        for row in rows
+    )
+    return "".join(stitch_csv([buf.getvalue()]))
+
+
+def _reference_render_table(rows):
+    records = [
+        (
+            str(row.p),
+            str(row.q),
+            _chain_cell(row.chain),
+            str(row.k),
+            str(row.sum_e),
+            str(row.q_inv),
+            _num_den(row.eta),
+            str(row.b2),
+            _num_den(row.c_value) + ("+" if row.positive else ""),
+            row.label,
+        )
+        for row in rows
+    ]
+    widths = tuple(max(map(len, column)) for column in zip(*records))
+    part = (widths or (0,) * 10, "\n".join(map("\t".join, records)))
+    return "".join(stitch_table([part]))
+
+
+REFERENCE_RENDER = {
+    "table": (_reference_render_table, render_table),
+    "json": (_reference_render_json, render_json),
+    "csv": (_reference_render_csv, render_csv),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "filters", [{}, {"positive_only": True}, {"dedup_conjugate": True}]
+)
+def test_renderers_match_the_report_based_reference(mode, filters):
+    # p_max 80 takes in (74, 67), whose labels mix one- and two-digit starts.
+    query = SearchQuery(p_max=80, mode=mode, **filters)
+    rows = scan(query)
+    for fmt, (reference, render) in REFERENCE_RENDER.items():
+        expected = reference(rows)
+        assert render(rows) == expected
+        assert "".join(scan_pieces(query, fmt)) == expected
+
+
+@given(st.integers(2, 10**9), st.integers(1, 10**9))
+@example(4, 1)  # k = 1 with a hit: the chain (4) contracts to T(2,1,1)
+@example(10**9 - 1, 1)  # k = 1, no hit, C numerator near -10**9
+@example(74, 67)
+def test_pair_rows_render_as_the_reference_at_large_p(p, q0):
+    # One pair's record and rows, through each part renderer, give the bytes
+    # the report-based reference gives for the builder's reports.
+    q = q0 % p
+    assume(q != 0 and gcd(p, q) == 1)
+    g = CyclicQuotient(p, q)
+    assume(len(hj_resolve(g)) <= 200)
+    expected = _builder_reports(g, 3)
+    pair, rows = _pair_rows(g, 3)
+    assert [invariants._report(p, pair, row) for row in rows] == expected
+    for fmt, (reference, render) in REFERENCE_RENDER.items():
+        part, stitch = FORMATS[fmt]
+        text = reference(expected)
+        assert render(expected) == text
+        assert "".join(stitch([part([(p, pair, rows)])])) == text
+
+
+def test_bench_scans_keep_their_digests(monkeypatch):
+    # The benchmark's three scans, run in process: the bytes they check on
+    # every bench run are checked here too.  bench/run.py is only imported.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench_run)  # for its dataclass
+    spec.loader.exec_module(bench_run)
+    assert len(bench_run.SCANS) == 3
+    for name, bench_scan in bench_run.SCANS.items():
+        args = dict(zip(bench_scan.args[::2], bench_scan.args[1::2]))
+        query = SearchQuery(p_max=int(args["--p-max"]), mode=args["--mode"])
+        text = "".join(scan_pieces(query, args.get("--format", "table")))
+        assert _digest(text) == bench_scan.sha256, name
