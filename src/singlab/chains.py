@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     IndexOutOfRange,
@@ -75,6 +75,12 @@ class CyclicQuotient:
         return mod_inverse(self.q, self.p)
 
 
+def _is_minimal(chain: Sequence[int]) -> bool:
+    # No (-1)-curve: every entry is >= 2.  True of the empty chain; False
+    # for a True entry, since True < 2.
+    return min(chain, default=2) >= 2
+
+
 class ResolutionChain(tuple):
     """A dual-graph chain: a tuple of minus-self-intersections, each >= 1.
 
@@ -94,7 +100,7 @@ class ResolutionChain(tuple):
     @property
     def is_minimal(self) -> bool:
         """True iff the chain contains no (-1)-curve."""
-        return all(e >= 2 for e in self)
+        return _is_minimal(self)
 
     @property
     def sum_e(self) -> int:
@@ -160,7 +166,7 @@ def chain_to_quotient(chain: ResolutionChain) -> CyclicQuotient:
     """
     if len(chain) == 0:
         raise NonMinimalChain("cannot recover a group from an empty chain")
-    if not all(e >= 2 for e in chain):
+    if not _is_minimal(chain):
         raise NonMinimalChain(
             f"chain {tuple(chain)} has a (-1)-curve; blow down before converting"
         )

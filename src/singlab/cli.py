@@ -1,12 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 on invalid arguments, 3 when the scan row-limit
-resource guard aborts.  All flags are long-form.
+resource guard aborts, and 1, with nothing on stderr, when the reader closes
+stdout before the output is written (``singlab search ... | head -1``).  All
+flags are long-form.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .chains import CyclicQuotient, ResolutionChain, hj_resolve, non_minimal_graph
@@ -163,6 +166,8 @@ def _run(args: argparse.Namespace, out) -> int:
             dedup_conjugate=args.dedup_conjugate,
         )
         _write_blocks(out, scan_pieces(query, args.format))
+    # Flush here, so that a closed pipe raises before main returns.
+    out.flush()
     return 0
 
 
@@ -174,6 +179,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return _run(args, sys.stdout)
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of what is
+        # still buffered cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except RowLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

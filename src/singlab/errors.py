@@ -6,6 +6,23 @@ the resource guard (exit code 3) and ``InternalCheckError`` signals a broken
 internal cross-check, which is a bug, never a user error.
 """
 
+__all__ = [
+    "SinglabError",
+    "NotInvertible",
+    "DivisionByZero",
+    "InvalidChain",
+    "NonMinimalChain",
+    "IndexOutOfRange",
+    "InvalidSite",
+    "NotMinusOneCurve",
+    "InvalidN",
+    "InvalidConfiguration",
+    "UnsupportedFamily",
+    "RowLimitExceeded",
+    "InternalCheckError",
+    "MismatchError",
+]
+
 
 class SinglabError(ValueError):
     """Base class for all input/contract violations raised by singlab."""

@@ -33,7 +33,13 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .chains import CyclicQuotient, ResolutionChain, chain_to_quotient, hj_resolve
+from .chains import (
+    CyclicQuotient,
+    ResolutionChain,
+    _is_minimal,
+    chain_to_quotient,
+    hj_resolve,
+)
 from .errors import (
     InternalCheckError,
     InvalidConfiguration,
@@ -80,6 +86,18 @@ class ContractedInterval(NamedTuple):
         return f"contract[{self.start}..{self.stop}]={self.params.label()}"
 
 
+def _b2(k: int, contracted: Sequence[ContractedInterval]) -> int:
+    # b2 of the smoothing of a chain of k curves: the curves of each
+    # contracted substring are traded for s - 1 classes.
+    for iv in contracted:
+        k += iv.params.s - 1 - iv.length
+    return k
+
+
+def _label(contracted: Sequence[ContractedInterval]) -> str:
+    return "+".join(iv.label() for iv in contracted) if contracted else "artin"
+
+
 @dataclass(frozen=True)
 class ResolutionConfiguration:
     """A quotient, its minimal chain, and disjoint contracted type-T substrings."""
@@ -90,21 +108,11 @@ class ResolutionConfiguration:
 
     @property
     def b2(self) -> int:
-        """Second Betti number of the smoothing: the curves of each
-        contracted substring are traded for s - 1 classes."""
-        b2 = len(self.chain)
-        for iv in self.contracted:
-            b2 += iv.params.s - 1 - iv.length
-        return b2
-
-    @property
-    def is_artin(self) -> bool:
-        return not self.contracted
+        """Second Betti number of the smoothing."""
+        return _b2(len(self.chain), self.contracted)
 
     def label(self) -> str:
-        if self.is_artin:
-            return "artin"
-        return "+".join(iv.label() for iv in self.contracted)
+        return _label(self.contracted)
 
 
 @dataclass(frozen=True)
@@ -236,7 +244,7 @@ def find_type_t_substrings(chain: Sequence[int]) -> list[ContractedInterval]:
     else InternalCheckError is raised.  That costs O(length) per hit, so
     the sweep stays output-sensitive.
     """
-    if min(chain, default=2) < 2:
+    if not _is_minimal(chain):
         raise NonMinimalChain(
             f"the type-T sweep needs a minimal chain, got {tuple(chain)}"
         )

@@ -48,7 +48,8 @@ from .chains import CyclicQuotient
 from .errors import RowLimitExceeded, SinglabError
 from .invariants import (
     InvariantReport,
-    ResolutionConfiguration,
+    _b2,
+    _label,
     _pair_record,
     _report,
     _row,
@@ -126,14 +127,13 @@ def _pair_rows(g: CyclicQuotient, cap: int) -> tuple[tuple, list]:
     # one row per disjoint subset of at most cap type-T hits.
     cfg = artin_configuration(g)
     pair = _pair_record(g, cfg.chain)
-    eta_num = pair[5]
+    k, eta_num = pair[2], pair[5]
     rows = [_row(g.p, eta_num, cfg.b2, cfg.label())]
     if cap:
         # The hits are disjoint within a subset and sorted by start, so each
         # subset is a valid configuration as it stands.
         for chosen in _disjoint_subsets(find_type_t_substrings(cfg.chain), cap):
-            contracted = ResolutionConfiguration(g, cfg.chain, tuple(chosen))
-            rows.append(_row(g.p, eta_num, contracted.b2, contracted.label()))
+            rows.append(_row(g.p, eta_num, _b2(k, chosen), _label(chosen)))
         rows.sort(key=itemgetter(2))
     return pair, rows
 

@@ -16,7 +16,7 @@ from itertools import islice
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .chains import CyclicQuotient, ResolutionChain, hj_resolve
+from .chains import CyclicQuotient, ResolutionChain, _is_minimal, hj_resolve
 from .errors import InternalCheckError, NonMinimalChain, SinglabError
 from .exact import cf_eval_pair
 
@@ -194,7 +194,7 @@ def recognize_type_t(chain: Sequence[int]) -> Optional[TypeTParams]:
     """
     if len(chain) == 0:
         return None
-    if not all(e >= 2 for e in chain):
+    if not _is_minimal(chain):
         raise NonMinimalChain(
             f"type-T recognition needs a minimal chain, got {tuple(chain)}"
         )

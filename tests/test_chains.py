@@ -27,6 +27,7 @@ from singlab import (
     non_minimal_graph,
     reverse_chain,
 )
+from singlab.chains import _is_minimal
 
 
 def test_quotient_validation():
@@ -58,6 +59,11 @@ def test_chain_validation():
     assert ResolutionChain((1, 4)).is_minimal is False
     assert ResolutionChain((3, 2)).is_minimal is True
     assert ResolutionChain((3, 2)).sum_e == 5
+
+
+def test_minimal_predicate_is_every_entry_at_least_2():
+    for chain in [(), (2,), (1,), (True,), (True, 3), (3, False), (3, 2, 2), (2, 1, 5)]:
+        assert _is_minimal(chain) is all(e >= 2 for e in chain)
 
 
 def test_chain_unpickles_without_a_second_check(monkeypatch):

@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +266,30 @@ def test_console_script():
         ["singlab", "resolve", "6", "3"], capture_output=True, text=True
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--p-max", "300", "--format", "csv"],
+        ["typet", "enumerate", "--r-max", "60", "--s-max", "4"],
+    ],
+    ids=["search", "typet-enumerate"],
+)
+def test_closed_stdout_exits_1_quietly(argv):
+    # The reader takes one line and closes the pipe, as `| head -1` does.
+    # At p_max 150 the search output fits the pipe and the buffers, so the
+    # writer may never see the closed pipe; at p_max 300 it does.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "singlab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""
