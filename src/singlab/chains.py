@@ -143,18 +143,32 @@ BlowUpSite = Union[OnCurve, AtNode]
 def hj_resolve(g: CyclicQuotient) -> ResolutionChain:
     """Minimal resolution chain of (1/p)(1,q).
 
-    Runs the modified Euclidean algorithm p = e_1 q - a_1, q = e_2 a_1 - a_2,
-    ... with 0 <= a_i < a_{i-1}; every e_i is >= 2 and cf_eval of the result
-    is exactly q/p.
+    Reads it off the regular continued fraction p/q = a_1 + 1/(a_2 + ...),
+    in O(Euclid steps) rather than O(k) steps: the chain is a_1 + 1, then
+    a_2 - 1 entries 2, a_3 + 2, a_4 - 1 entries 2, a_5 + 2, ..., with the
+    last entry one less when the expansion ends on an odd-position term
+    (so q = 1 gives (p,)).  Every entry is >= 2 and cf_eval of the result
+    is exactly q/p; the ceiling recursion p = e_1 q - a_1, q = e_2 a_1 -
+    a_2, ... is the test oracle.
     """
     entries = []
-    a, b = g.p, g.q
-    while b > 0:
-        e = -(-a // b)  # ceil(a/b)
-        entries.append(e)
-        a, b = b, e * b - a
-    # Every e is an int >= 2 by construction (b < a), so the per-entry
-    # validation of ResolutionChain.__new__ is skipped.
+    a, b, bump = g.p, g.q, 1
+    while True:
+        # a/b = t + (a % b)/b, t at an odd position: one entry t + bump.
+        entries.append(a // b + bump)
+        a %= b
+        if not a:
+            entries[-1] -= 1
+            break
+        # b/a = t + b'/a, t at an even position: t - 1 entries 2.
+        t, b = divmod(b, a)
+        if t > 1:
+            entries += [2] * (t - 1)
+        if not b:
+            break
+        bump = 2
+    # Every e is an int >= 2 by construction, so the per-entry validation
+    # of ResolutionChain.__new__ is skipped.
     return tuple.__new__(ResolutionChain, entries)
 
 

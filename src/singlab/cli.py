@@ -23,10 +23,10 @@ from .type_t import enumerate_type_t, recognize_type_t
 
 __all__ = ["main", "build_parser"]
 
-# search joins its pieces (one per p, a few kB each) into blocks of at least
-# this many characters before writing, so that a reader of a pipe gets
-# full-size reads rather than one short read per p.  A block costs about
-# three times its size in transient memory.
+# search writes its pieces (at most about 1 MiB each) in blocks: it joins
+# consecutive pieces while they fit in this many characters, so that a
+# reader of a pipe gets full-size reads, and writes a longer piece alone.
+# A write holds the block's pieces, their join and the encoded bytes.
 _WRITE_BLOCK = 1 << 20
 
 
@@ -115,11 +115,11 @@ def _parse_entries(text: str) -> ResolutionChain:
 def _write_blocks(out, pieces) -> None:
     block, size = [], 0
     for piece in pieces:
-        block.append(piece)
-        size += len(piece)
-        if size >= _WRITE_BLOCK:
+        if block and size + len(piece) > _WRITE_BLOCK:
             out.write("".join(block))
             block, size = [], 0
+        block.append(piece)
+        size += len(piece)
     out.write("".join(block))
 
 

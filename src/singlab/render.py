@@ -12,24 +12,36 @@ A record is (p, pair, rows): the pair record (q, chain, k, sum_e, q_inv,
 eta_num) with 3*p*eta = eta_num, and the pair's rows (b2, c_num, label)
 with p*C = c_num (a scan renders one p at a time).  The pair's cells are
 formatted once per record and only b2, C, positive and the label per row.
-The stitcher yields the output in pieces, in order: what the format writes
-once (the CSV header, the JSON brackets, the table header) and each part,
-the table's padded to the column widths over all parts.  A caller can write
-the pieces one at a time, so no joined copy of the output is built.
-``FORMATS`` maps each format name to its pair, and ``render_<fmt>(rows)``
-turns invariant reports into records and joins the pieces of a single part,
-so each row format is written once.
+The stitcher writes each part to a spool as it arrives: what the format
+writes between parts (the JSON separators, the table's line ends) goes
+with it, and only the table's column widths, merged over the parts, stay
+in memory.  Once every part is in, it reads the spool back and yields the
+output in pieces of at most about 1 MiB (``_PIECE``), in order: what the
+format writes once (the CSV header, the JSON brackets, the table header)
+and the spooled text, the table's lines padded to the merged widths as
+they are read.  The spool is memory by default and an unnamed temporary
+file in $TMPDIR with ``spool=True``; a spool that cannot be created or
+written raises ``SinglabError``.  A caller can write the pieces one at a
+time, so no joined copy of the output is built.  ``FORMATS`` maps each
+format name to its (part, stitch) pair, and ``render_<fmt>(rows)`` turns
+invariant reports into records and joins the pieces of a single part, so
+each row format and each stitching routine is written once.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+from contextlib import suppress
 from fractions import Fraction
-from itertools import groupby
+from functools import partial
+from itertools import groupby, islice
 from math import gcd
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
+from .errors import SinglabError
 from .exact import decimal_str
 from .invariants import InvariantReport
 
@@ -89,6 +101,64 @@ def _records(rows: Iterable[InvariantReport]) -> Iterator[tuple[int, tuple, list
         )
 
 
+# The stitchers read the output back in pieces of at most about this many
+# characters.
+_PIECE = 1 << 20
+
+
+def _spool(spool: bool):
+    # A text stream that reads back exactly what was written to it, and its
+    # directory: an unnamed temporary file in $TMPDIR, or memory (None).
+    # The memory buffer keeps one byte per ASCII character, where
+    # io.StringIO would keep four.
+    if spool:
+        import tempfile  # only a spooled stitch pays for the import
+
+        # tempfile would pass over a TMPDIR that does not exist; name it.
+        directory = os.environ.get("TMPDIR") or tempfile.gettempdir()
+        buffer = _guarded(directory, tempfile.TemporaryFile, dir=directory)
+    else:
+        directory, buffer = None, io.BytesIO()
+    return io.TextIOWrapper(buffer, encoding="utf-8", newline="\n"), directory
+
+
+def _guarded(directory, fn, *args, **kwargs):
+    # fn(*args, **kwargs), with a failure of the spool raised as a
+    # SinglabError that names the spool's directory.
+    try:
+        return fn(*args, **kwargs)
+    except OSError as exc:
+        raise SinglabError(
+            f"cannot spool the output in {directory!r}: {exc.strerror or exc}"
+        ) from exc
+
+
+def _stitch(stitcher, parts, spool: bool) -> Iterator[str]:
+    # Write each part to the spool as it arrives; once every part is in,
+    # return the pieces read back from it.  An error in the parts raises
+    # here, before any piece exists.  The spool is closed when the pieces
+    # are used up, when their generator is closed, and on every error.
+    stream, directory = _spool(spool)
+    try:
+        for part in parts:
+            _guarded(directory, stitcher.add, part, stream.write)
+        _guarded(directory, stream.seek, 0)
+    except BaseException:
+        with suppress(OSError):  # a failed flush still closes the file
+            stream.close()
+        raise
+    return _read_back(stitcher, stream)
+
+
+def _read_back(stitcher, stream) -> Iterator[str]:
+    with stream:
+        yield from stitcher.pieces(stream)
+
+
+def _blocks(stream) -> Iterator[str]:
+    return iter(partial(stream.read, _PIECE), "")
+
+
 def json_part(records: Iterable[tuple[int, tuple, list]]) -> str:
     """One JSON object per row, joined by ",\\n" ("" for no rows)."""
     lines = []
@@ -107,15 +177,33 @@ def json_part(records: Iterable[tuple[int, tuple, list]]) -> str:
     return ",\n".join(lines)
 
 
-def stitch_json(parts: Iterable[str]) -> Iterator[str]:
-    """The pieces of a JSON array of the objects of every part, in order."""
-    opening = "[\n"
-    for part in parts:
+class _JsonStitcher:
+    # A JSON array of the objects of every part: the parts with rows are
+    # spooled joined by ",\n", and read back between "[\n" and "\n]\n".
+    rows = False
+
+    def add(self, part: str, write) -> None:
         if part:
-            yield opening
-            yield part
-            opening = ",\n"
-    yield "[]\n" if opening == "[\n" else "\n]\n"
+            if self.rows:
+                write(",\n")
+            write(part)
+            self.rows = True
+
+    def pieces(self, spool) -> Iterator[str]:
+        if not self.rows:
+            yield "[]\n"
+            return
+        yield "[\n"
+        yield from _blocks(spool)
+        yield "\n]\n"
+
+
+def stitch_json(parts: Iterable[str], spool: bool = False) -> Iterator[str]:
+    """The pieces of a JSON array of the objects of every part, in order.
+
+    Every part is spooled before this returns (see the module docstring).
+    """
+    return _stitch(_JsonStitcher(), parts, spool)
 
 
 def render_json(rows: Iterable[InvariantReport]) -> str:
@@ -149,10 +237,22 @@ def csv_part(records: Iterable[tuple[int, tuple, list]]) -> str:
     return "".join(lines)
 
 
-def stitch_csv(parts: Iterable[str]) -> Iterator[str]:
-    """The header, then the body lines of every part, in order."""
-    yield _CSV_HEADER
-    yield from parts
+class _CsvStitcher:
+    # The header, then the body lines of every part as they were spooled.
+    def add(self, part: str, write) -> None:
+        write(part)
+
+    def pieces(self, spool) -> Iterator[str]:
+        yield _CSV_HEADER
+        yield from _blocks(spool)
+
+
+def stitch_csv(parts: Iterable[str], spool: bool = False) -> Iterator[str]:
+    """The header, then the body lines of every part, in order.
+
+    Every part is spooled before this returns (see the module docstring).
+    """
+    return _stitch(_CsvStitcher(), parts, spool)
 
 
 def render_csv(rows: Iterable[InvariantReport]) -> str:
@@ -196,22 +296,41 @@ def table_part(
     return widths or (0,) * len(_TABLE_COLUMNS), "\n".join(lines)
 
 
-def stitch_table(parts: Iterable[tuple[tuple[int, ...], str]]) -> Iterator[str]:
-    """The header, then the rows of each part, padded to common widths."""
-    parts = list(parts)
-    widths = [len(col) for col in _TABLE_COLUMNS]
-    for part_widths, _ in parts:
-        widths = list(map(max, widths, part_widths))
-    line = "  ".join(
-        f"{{:{'<' if col in _LEFT_ALIGNED else '>'}{width}}}"
-        for col, width in zip(_TABLE_COLUMNS, widths)
-    ).format
-    yield line(*_TABLE_COLUMNS).rstrip() + "\n"
-    for _, text in parts:
+class _TableStitcher:
+    # The header, then the lines of every part padded to the column widths
+    # over all parts.  The widths are merged as the parts are spooled, so
+    # they are known before any line is read back.
+    def __init__(self) -> None:
+        self.widths = [len(col) for col in _TABLE_COLUMNS]
+
+    def add(self, part: tuple[tuple[int, ...], str], write) -> None:
+        widths, text = part
+        self.widths = list(map(max, self.widths, widths))
         if text:
-            yield "".join(
-                [line(*cells.split("\t")).rstrip() + "\n" for cells in text.split("\n")]
-            )
+            write(text)
+            write("\n")
+
+    def pieces(self, spool) -> Iterator[str]:
+        line = "  ".join(
+            f"{{:{'<' if col in _LEFT_ALIGNED else '>'}{width}}}"
+            for col, width in zip(_TABLE_COLUMNS, self.widths)
+        ).format
+        yield line(*_TABLE_COLUMNS).rstrip() + "\n"
+        # A padded line is shorter than sum(widths) + 2 * len(widths).
+        batch = max(1, _PIECE // (sum(self.widths) + 2 * len(self.widths)))
+        while lines := list(islice(spool, batch)):
+            # rstrip drops the label's padding and the spooled newline.
+            yield "".join([line(*cells.split("\t")).rstrip() + "\n" for cells in lines])
+
+
+def stitch_table(
+    parts: Iterable[tuple[tuple[int, ...], str]], spool: bool = False
+) -> Iterator[str]:
+    """The header, then the rows of each part, padded to common widths.
+
+    Every part is spooled before this returns (see the module docstring).
+    """
+    return _stitch(_TableStitcher(), parts, spool)
 
 
 def render_table(rows: Iterable[InvariantReport]) -> str:

@@ -18,15 +18,18 @@ pair's rows by label, applies the ``--dedup-conjugate`` and ``--positive``
 filters, and turns the (p, pair, rows) records that are left into a part.
 For ``scan_pieces`` the part is that p's output already rendered by one of
 ``render.FORMATS`` into a compact part (text, and for the table its column
-widths), so a worker process sends back text and the parent only holds the
-parts; for ``scan`` the part is the records, and the parent builds the
-``InvariantReport``s.  ``configuration_invariants`` builds the same report
-for one configuration; it is the reference the scan's rows are tested
-against.  The units are mapped over p in process or by a process pool,
-whose ``map`` returns them in p order, so the rows are sorted by
-(p, q, label) and the output is byte-identical regardless of how many
-workers produced it.  The output is written once the scan completes, as the
-stitcher yields it, so no joined copy of it is built.
+widths), so a worker process sends back text; the parent writes each part
+to an unnamed temporary file in $TMPDIR (the spool) as it arrives and keeps
+only the table's column widths in memory.  For ``scan`` the part is the
+records, and the parent builds the ``InvariantReport``s, so ``scan`` holds
+O(rows).  ``configuration_invariants`` builds the same report for one
+configuration; it is the reference the scan's rows are tested against.
+The units are mapped over p in process or by a process pool, whose ``map``
+returns them in p order, so the rows are sorted by (p, q, label) and the
+output is byte-identical regardless of how many workers produced it.  The
+pool's module is imported only when a scan starts a pool.  Once the scan
+completes, the stitcher reads the spool back in pieces of about 1 MiB at
+most, so the parent's peak memory does not grow with the output.
 
 The environment variable SINGLAB_ROW_LIMIT (default 10_000_000) bounds the
 number of generated rows, counted before the filters.  It is checked as the
@@ -37,7 +40,8 @@ before anything is emitted.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from math import gcd
@@ -161,14 +165,14 @@ def _p_part(p: int, query: SearchQuery, part):
     return generated, part([(p, pair, rows) for pair, rows in pairs])
 
 
-def _parts(query: SearchQuery, part) -> list:
+def _parts(query: SearchQuery, part) -> Iterator:
     # The parts of p = 2..p_max in p order, from at most one process per core.
     limit = row_limit()
     n = min(query.workers, query.p_max - 1, os.cpu_count() or 1)
     unit = partial(_p_part, query=query, part=part)
     ps = range(2, query.p_max + 1)
-    pool = ProcessPoolExecutor(max_workers=n) if n > 1 else None
-    parts = []
+    # Read through the module, so that its __getattr__ imports the pool.
+    pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=n) if n > 1 else None
     generated = 0
     try:
         for count, done in pool.map(unit, ps) if pool else map(unit, ps):
@@ -177,11 +181,22 @@ def _parts(query: SearchQuery, part) -> list:
                 raise RowLimitExceeded(
                     f"scan exceeded SINGLAB_ROW_LIMIT = {limit} rows"
                 )
-            parts.append(done)
+            yield done
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return parts
+
+
+def __getattr__(name: str):
+    # concurrent.futures.process (and multiprocessing with it) is imported
+    # when a scan first starts a pool, not by every command: it costs about
+    # 20 ms and 2.4 MB.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def scan(query: SearchQuery) -> list[InvariantReport]:
@@ -203,10 +218,14 @@ def scan_pieces(query: SearchQuery, fmt: str) -> Iterator[str]:
     scan completes before this returns, so a row-limit abort or a failed
     check raises before any piece exists.  ``"".join`` of the pieces equals
     ``render_<fmt>(scan(query))``; each p is rendered by the unit that
-    computed it, and the stitcher pads or brackets a part only as its
-    piece is taken.
+    computed it and spooled to an unnamed temporary file in $TMPDIR as it
+    arrives, and the pieces, of about 1 MiB at most, are read back from
+    that file.  A spool that cannot be created or written raises
+    ``SinglabError``.
     """
     if fmt not in FORMATS:
         raise SinglabError(f"format must be one of {tuple(FORMATS)}, got {fmt!r}")
     part, stitch = FORMATS[fmt]
-    return stitch(_parts(query, part))
+    # Closing the parts shuts the pool down at once if the spool fails.
+    with closing(_parts(query, part)) as parts:
+        return stitch(parts, spool=True)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from singlab import (
     AtNode,
@@ -93,6 +93,48 @@ def test_hj_resolve_su2_series():
         chain = hj_resolve(CyclicQuotient(p, p - 1))
         assert chain == (2,) * (p - 1)
         assert cf_eval(chain) == Fraction(p - 1, p)
+
+
+def _ceiling_chain(p, q, cap):
+    # The modified Euclidean algorithm p = e_1 q - a_1, q = e_2 a_1 - a_2,
+    # ..., one entry per step, stopped after cap + 1 entries: the oracle
+    # for hj_resolve, which reads the chain off the regular continued
+    # fraction.
+    entries = []
+    a, b = p, q
+    while b > 0 and len(entries) <= cap:
+        e = -(-a // b)  # ceil(a/b)
+        entries.append(e)
+        a, b = b, e * b - a
+    return tuple(entries)
+
+
+def test_hj_resolve_matches_the_ceiling_recursion():
+    for p in range(2, 401):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                chain = hj_resolve(CyclicQuotient(p, q))
+                assert chain == _ceiling_chain(p, q, p), (p, q)
+    for length in (1, 2, 3, 1000, 100_000):
+        chain = hj_resolve(CyclicQuotient(length + 1, length))
+        assert chain == _ceiling_chain(length + 1, length, length) == (2,) * length
+
+
+@given(st.integers(2, 10**9), st.integers(1, 10**9))
+@example(10**9, 1)
+@example(10**9, 10**9 - 100_001)  # a run of 9 998 entries 2
+def test_hj_resolve_matches_the_ceiling_recursion_at_large_p(p, q0):
+    q = q0 % p
+    assume(q != 0 and gcd(p, q) == 1)
+    # The chain has about as many entries as the even-position terms of
+    # the regular continued fraction add up to; keep it short.
+    terms, a, b = [], p, q
+    while b:
+        terms.append(a // b)
+        a, b = b, a % b
+    assume(sum(terms[1::2]) <= 10**5)
+    chain = hj_resolve(CyclicQuotient(p, q))
+    assert chain == _ceiling_chain(p, q, len(chain))
 
 
 def test_hj_resolve_is_minimal():

@@ -181,6 +181,21 @@ def test_search_output_in_small_blocks(capsys, monkeypatch):
     assert len(out) > 10 * cli._WRITE_BLOCK
 
 
+def test_search_writes_blocks_of_bounded_size(monkeypatch):
+    # Short pieces are joined while they fit in a block; a longer piece is
+    # written alone.
+    writes = []
+
+    class Out:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 6)
+    pieces = ["aaa", "bbb", "cccc", "dd", "eeee", "ffffffffff", "g"]
+    cli._write_blocks(Out(), pieces)
+    assert writes == ["aaabbb", "ccccdd", "eeee", "ffffffffff", "g"]
+
+
 def test_stitchers_with_no_rows():
     header = {
         "table": "p  q  chain  k  sum_e  q_inv  eta  b2  C  label\n",
@@ -293,3 +308,42 @@ def test_closed_stdout_exits_1_quietly(argv):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err == b""
+
+
+def test_search_with_a_missing_tmpdir_exits_2(capsys, monkeypatch, tmp_path):
+    # The spool goes to TMPDIR as it is set; a missing directory is an input
+    # error, reported on one line, with nothing printed.
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("TMPDIR", str(missing))
+    for workers in ("1", "2"):
+        code, out, err = run(capsys, "search", "--p-max", "10", "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(missing) in err
+
+
+def test_the_process_pool_is_imported_only_by_a_pool():
+    # Neither importing the CLI nor a one-worker search loads
+    # concurrent.futures.process; a two-worker search does.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import sys, io, contextlib\n"
+        "import singlab.cli\n"
+        "loaded = lambda: 'concurrent.futures.process' in sys.modules\n"
+        "print(loaded())\n"
+        "for workers in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = singlab.cli.main(['search', '--p-max', '12', '--workers', workers])\n"
+        "    print(code, loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "1", "2"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pooled = (os.cpu_count() or 1) > 1  # one core starts no pool
+    assert proc.stdout.splitlines() == ["False", "0 False", f"0 {pooled}"]

@@ -1,8 +1,10 @@
 import csv
+import errno
 import hashlib
 import importlib.util
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from math import gcd
@@ -24,12 +26,14 @@ from singlab import (
     find_type_t_substrings,
     hj_resolve,
     invariants,
+    render,
     scan,
     search,
 )
 from singlab.exact import decimal_str
 from singlab.render import (
     FORMATS,
+    _records,
     render_csv,
     render_json,
     render_table,
@@ -528,3 +532,96 @@ def test_bench_scans_keep_their_digests(monkeypatch):
         query = SearchQuery(p_max=int(args["--p-max"]), mode=args["--mode"])
         text = "".join(scan_pieces(query, args.get("--format", "table")))
         assert _digest(text) == bench_scan.sha256, name
+
+
+RENDERERS = {"table": render_table, "json": render_json, "csv": render_csv}
+
+
+def test_pieces_are_bounded_and_spooled_equal_to_memory(monkeypatch):
+    # Every piece is at most render._PIECE characters, whichever way the
+    # parts are stitched, and the spooled stitch equals the in-memory one.
+    monkeypatch.setattr(render, "_PIECE", 4096)
+    query = SearchQuery(p_max=40, mode="single-contraction")
+    rows = scan(query)
+    for fmt, (part, stitch) in FORMATS.items():
+        expected = RENDERERS[fmt](rows)
+        pieces = list(scan_pieces(query, fmt))
+        assert "".join(pieces) == expected
+        assert len(pieces) > 10
+        assert max(map(len, pieces)) <= 4096
+        parts = [part(_records(rows[i : i + 50])) for i in range(0, len(rows), 50)]
+        for spool in (False, True):
+            pieces = list(stitch(parts, spool))
+            assert "".join(pieces) == expected
+            assert max(map(len, pieces)) <= 4096
+
+
+def _open_fds():
+    # Less the descriptor that listed the directory, closed by now.
+    fds = os.listdir("/proc/self/fd")
+    return {fd for fd in fds if os.path.lexists(f"/proc/self/fd/{fd}")}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_no_spool_file_outlives_the_scan(monkeypatch, tmp_path):
+    # The spool is an unnamed file in TMPDIR while the scan runs, and it is
+    # closed however the scan ends.
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    real_p_rows = search._p_rows
+    seen = {}
+
+    def spy_p_rows(p, mode, cap):
+        if p == 12:
+            seen["spools"] = [
+                target
+                for target in (os.readlink(f"/proc/self/fd/{fd}") for fd in _open_fds() - before)
+                if target.startswith(str(tmp_path))
+            ]
+            if seen.get("error"):
+                raise seen["error"](f"injected failure at p = {p}")
+        return real_p_rows(p, mode, cap)
+
+    query = SearchQuery(p_max=12)
+    rows = scan(query)
+    monkeypatch.setattr(search, "_p_rows", spy_p_rows)
+    before = _open_fds()
+    for fmt in FORMATS:
+        assert "".join(scan_pieces(query, fmt)) == RENDERERS[fmt](rows)
+        [spool] = seen.pop("spools")
+        assert spool.endswith("(deleted)") and not os.listdir(tmp_path)
+        assert _open_fds() == before
+        pieces = scan_pieces(query, fmt)
+        next(pieces)
+        pieces.close()
+        assert _open_fds() == before
+    # The raised error keeps the scan's frames alive, so the spool must have
+    # been closed, not merely dropped.
+    monkeypatch.setenv("SINGLAB_ROW_LIMIT", "5")
+    with pytest.raises(RowLimitExceeded) as info:
+        scan_pieces(query, "csv")
+    assert _open_fds() == before
+    del info
+    monkeypatch.delenv("SINGLAB_ROW_LIMIT")
+    seen["error"] = InternalCheckError
+    for fmt in FORMATS:
+        with pytest.raises(InternalCheckError, match="injected failure") as info:
+            scan_pieces(query, fmt)
+        assert len(seen.pop("spools")) == 1
+        assert _open_fds() == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_spool_is_a_singlab_error(monkeypatch):
+    # /dev/full fails every write with ENOSPC, as a full disk does: the
+    # buffered small writes when the spool is flushed, the large ones at once.
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *a, **kw: open("/dev/full", "w+b"))
+    before = _open_fds() if os.path.isdir("/proc/self/fd") else None
+    for p_max in (5, 200):
+        for fmt in FORMATS:
+            with pytest.raises(SinglabError, match="cannot spool the output in") as info:
+                scan_pieces(SearchQuery(p_max=p_max), fmt)
+            assert info.value.__cause__.errno == errno.ENOSPC
+    if before is not None:
+        assert _open_fds() == before
