@@ -23,13 +23,6 @@ from .type_t import enumerate_type_t, recognize_type_t
 
 __all__ = ["main", "build_parser"]
 
-# search writes its pieces (at most about 1 MiB each) in blocks: it joins
-# consecutive pieces while they fit in this many characters, so that a
-# reader of a pipe gets full-size reads, and writes a longer piece alone.
-# A write holds the block's pieces, their join and the encoded bytes.
-_WRITE_BLOCK = 1 << 20
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="singlab",
@@ -112,17 +105,6 @@ def _parse_entries(text: str) -> ResolutionChain:
         raise SinglabError(f"chain entries look like 5,2 got {text!r}") from exc
 
 
-def _write_blocks(out, pieces) -> None:
-    block, size = [], 0
-    for piece in pieces:
-        if block and size + len(piece) > _WRITE_BLOCK:
-            out.write("".join(block))
-            block, size = [], 0
-        block.append(piece)
-        size += len(piece)
-    out.write("".join(block))
-
-
 def _run(args: argparse.Namespace, out) -> int:
     if args.command == "resolve":
         out.write(chain_text(hj_resolve(CyclicQuotient(args.p, args.q))) + "\n")
@@ -165,7 +147,9 @@ def _run(args: argparse.Namespace, out) -> int:
             max_contractions=args.max_contractions,
             dedup_conjugate=args.dedup_conjugate,
         )
-        _write_blocks(out, scan_pieces(query, args.format))
+        # The pieces are at most about 1 MiB each, and out's buffer joins
+        # the small ones.
+        out.writelines(scan_pieces(query, args.format))
     # Flush here, so that a closed pipe raises before main returns.
     out.flush()
     return 0
@@ -182,7 +166,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Point stdout at devnull so the interpreter's final flush of what is
         # still buffered cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except RowLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

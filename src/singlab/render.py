@@ -4,7 +4,7 @@ Exact values survive serialization: JSON carries {"num", "den"} strings plus
 a 15-significant-digit decimal convenience string, CSV carries "num/den"
 text, and the table marks positive C with a trailing "+".
 
-Each format is a pair of functions.  The part function renders a run of
+Each format is a part function and a stitcher; the first renders a run of
 records into a compact, picklable part: CSV body lines, JSON object lines
 joined by ",\\n", or, for the table, the part's column widths plus one
 string holding its rows, one line per row with the cells joined by a tab.
@@ -19,13 +19,14 @@ in memory.  Once every part is in, it reads the spool back and yields the
 output in pieces of at most about 1 MiB (``_PIECE``), in order: what the
 format writes once (the CSV header, the JSON brackets, the table header)
 and the spooled text, the table's lines padded to the merged widths as
-they are read.  The spool is memory by default and an unnamed temporary
-file in $TMPDIR with ``spool=True``; a spool that cannot be created or
-written raises ``SinglabError``.  A caller can write the pieces one at a
-time, so no joined copy of the output is built.  ``FORMATS`` maps each
-format name to its (part, stitch) pair, and ``render_<fmt>(rows)`` turns
-invariant reports into records and joins the pieces of a single part, so
-each row format and each stitching routine is written once.
+they are read.  ``FORMATS`` maps each format name to its (part function,
+stitcher class) pair.  ``stitch(fmt, parts)`` spools to an unnamed
+temporary file in $TMPDIR, and a spool that cannot be created or written
+raises ``SinglabError``; a caller can write the pieces one at a time, so
+no joined copy of the output is built.  ``render_<fmt>(rows)`` turns
+invariant reports into the records of a single part and stitches it
+through a spool in memory, so it never touches $TMPDIR.  Each row format
+and each stitching routine is written once.
 """
 
 from __future__ import annotations
@@ -53,9 +54,7 @@ __all__ = [
     "render_csv",
     "render_json",
     "render_table",
-    "stitch_csv",
-    "stitch_json",
-    "stitch_table",
+    "stitch",
     "table_part",
 ]
 
@@ -106,22 +105,6 @@ def _records(rows: Iterable[InvariantReport]) -> Iterator[tuple[int, tuple, list
 _PIECE = 1 << 20
 
 
-def _spool(spool: bool):
-    # A text stream that reads back exactly what was written to it, and its
-    # directory: an unnamed temporary file in $TMPDIR, or memory (None).
-    # The memory buffer keeps one byte per ASCII character, where
-    # io.StringIO would keep four.
-    if spool:
-        import tempfile  # only a spooled stitch pays for the import
-
-        # tempfile would pass over a TMPDIR that does not exist; name it.
-        directory = os.environ.get("TMPDIR") or tempfile.gettempdir()
-        buffer = _guarded(directory, tempfile.TemporaryFile, dir=directory)
-    else:
-        directory, buffer = None, io.BytesIO()
-    return io.TextIOWrapper(buffer, encoding="utf-8", newline="\n"), directory
-
-
 def _guarded(directory, fn, *args, **kwargs):
     # fn(*args, **kwargs), with a failure of the spool raised as a
     # SinglabError that names the spool's directory.
@@ -133,12 +116,13 @@ def _guarded(directory, fn, *args, **kwargs):
         ) from exc
 
 
-def _stitch(stitcher, parts, spool: bool) -> Iterator[str]:
-    # Write each part to the spool as it arrives; once every part is in,
-    # return the pieces read back from it.  An error in the parts raises
-    # here, before any piece exists.  The spool is closed when the pieces
-    # are used up, when their generator is closed, and on every error.
-    stream, directory = _spool(spool)
+def _stitch(stitcher, parts, buffer, directory=None) -> Iterator[str]:
+    # Write each part to the spool, the binary buffer, as it arrives; once
+    # every part is in, return the pieces read back from it.  An error in the
+    # parts raises here, before any piece exists.  The spool is closed when
+    # the pieces are used up, when their generator is closed, and on every
+    # error.  A failed write names the spool's directory (None: memory).
+    stream = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
     try:
         for part in parts:
             _guarded(directory, stitcher.add, part, stream.write)
@@ -198,16 +182,8 @@ class _JsonStitcher:
         yield "\n]\n"
 
 
-def stitch_json(parts: Iterable[str], spool: bool = False) -> Iterator[str]:
-    """The pieces of a JSON array of the objects of every part, in order.
-
-    Every part is spooled before this returns (see the module docstring).
-    """
-    return _stitch(_JsonStitcher(), parts, spool)
-
-
 def render_json(rows: Iterable[InvariantReport]) -> str:
-    return "".join(stitch_json([json_part(_records(rows))]))
+    return _render("json", rows)
 
 
 _CSV_HEADER = "p,q,chain,k,sum_e,q_inv,eta,b2,c,positive,label\n"
@@ -247,16 +223,8 @@ class _CsvStitcher:
         yield from _blocks(spool)
 
 
-def stitch_csv(parts: Iterable[str], spool: bool = False) -> Iterator[str]:
-    """The header, then the body lines of every part, in order.
-
-    Every part is spooled before this returns (see the module docstring).
-    """
-    return _stitch(_CsvStitcher(), parts, spool)
-
-
 def render_csv(rows: Iterable[InvariantReport]) -> str:
-    return "".join(stitch_csv([csv_part(_records(rows))]))
+    return _render("csv", rows)
 
 
 _TABLE_COLUMNS = ("p", "q", "chain", "k", "sum_e", "q_inv", "eta", "b2", "C", "label")
@@ -323,22 +291,42 @@ class _TableStitcher:
             yield "".join([line(*cells.split("\t")).rstrip() + "\n" for cells in lines])
 
 
-def stitch_table(
-    parts: Iterable[tuple[tuple[int, ...], str]], spool: bool = False
-) -> Iterator[str]:
-    """The header, then the rows of each part, padded to common widths.
-
-    Every part is spooled before this returns (see the module docstring).
-    """
-    return _stitch(_TableStitcher(), parts, spool)
-
-
 def render_table(rows: Iterable[InvariantReport]) -> str:
-    return "".join(stitch_table([table_part(_records(rows))]))
+    return _render("table", rows)
 
 
 FORMATS = {
-    "table": (table_part, stitch_table),
-    "json": (json_part, stitch_json),
-    "csv": (csv_part, stitch_csv),
+    "table": (table_part, _TableStitcher),
+    "json": (json_part, _JsonStitcher),
+    "csv": (csv_part, _CsvStitcher),
 }
+
+
+def _format(fmt: str):
+    # The (part function, stitcher class) pair of fmt.
+    if fmt not in FORMATS:
+        raise SinglabError(f"format must be one of {tuple(FORMATS)}, got {fmt!r}")
+    return FORMATS[fmt]
+
+
+def stitch(fmt: str, parts: Iterable) -> Iterator[str]:
+    """The pieces of the output of ``fmt``'s parts, in order.
+
+    ``fmt`` is a key of ``FORMATS``.  Every part is spooled to an unnamed
+    temporary file in $TMPDIR before this returns (see the module
+    docstring).
+    """
+    stitcher = _format(fmt)[1]()
+    import tempfile  # only a stitch to a file pays for the import
+
+    # tempfile would pass over a TMPDIR that does not exist; name it.
+    directory = os.environ.get("TMPDIR") or tempfile.gettempdir()
+    buffer = _guarded(directory, tempfile.TemporaryFile, dir=directory)
+    return _stitch(stitcher, parts, buffer, directory)
+
+
+def _render(fmt: str, rows: Iterable[InvariantReport]) -> str:
+    # The output of one part of the rows, spooled in memory: a BytesIO keeps
+    # one byte per ASCII character, where io.StringIO would keep four.
+    part, stitcher = FORMATS[fmt]
+    return "".join(_stitch(stitcher(), [part(_records(rows))], io.BytesIO()))

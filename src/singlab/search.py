@@ -18,18 +18,19 @@ pair's rows by label, applies the ``--dedup-conjugate`` and ``--positive``
 filters, and turns the (p, pair, rows) records that are left into a part.
 For ``scan_pieces`` the part is that p's output already rendered by one of
 ``render.FORMATS`` into a compact part (text, and for the table its column
-widths), so a worker process sends back text; the parent writes each part
-to an unnamed temporary file in $TMPDIR (the spool) as it arrives and keeps
-only the table's column widths in memory.  For ``scan`` the part is the
-records, and the parent builds the ``InvariantReport``s, so ``scan`` holds
-O(rows).  ``configuration_invariants`` builds the same report for one
-configuration; it is the reference the scan's rows are tested against.
-The units are mapped over p in process or by a process pool, whose ``map``
-returns them in p order, so the rows are sorted by (p, q, label) and the
-output is byte-identical regardless of how many workers produced it.  The
-pool's module is imported only when a scan starts a pool.  Once the scan
-completes, the stitcher reads the spool back in pieces of about 1 MiB at
-most, so the parent's peak memory does not grow with the output.
+widths), so a worker process sends back text; ``render.stitch`` writes
+each part to an unnamed temporary file in $TMPDIR (the spool) as it
+arrives and keeps only the table's column widths in memory.  For ``scan``
+the part is the records, and the parent builds the ``InvariantReport``s,
+so ``scan`` holds O(rows).  ``configuration_invariants`` builds the same
+report for one configuration; it is the reference the scan's rows are
+tested against.  The units are mapped over p in process or by a process
+pool, whose ``map`` returns them in p order, so the rows are sorted by
+(p, q, label) and the output is byte-identical regardless of how many
+workers produced it.  ``_parts`` imports the process pool, and multiprocessing with it, only when
+it starts a pool.  Once the scan completes, the stitcher reads the spool
+back in pieces of about 1 MiB at most, so the parent's peak memory does
+not grow with the output.
 
 The environment variable SINGLAB_ROW_LIMIT (default 10_000_000) bounds the
 number of generated rows, counted before the filters.  It is checked as the
@@ -40,7 +41,6 @@ before anything is emitted.
 from __future__ import annotations
 
 import os
-import sys
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
@@ -60,7 +60,7 @@ from .invariants import (
     artin_configuration,
     find_type_t_substrings,
 )
-from .render import FORMATS
+from .render import _format, stitch
 
 __all__ = ["MODES", "SearchQuery", "scan", "scan_pieces", "row_limit"]
 
@@ -171,8 +171,13 @@ def _parts(query: SearchQuery, part) -> Iterator:
     n = min(query.workers, query.p_max - 1, os.cpu_count() or 1)
     unit = partial(_p_part, query=query, part=part)
     ps = range(2, query.p_max + 1)
-    # Read through the module, so that its __getattr__ imports the pool.
-    pool = sys.modules[__name__].ProcessPoolExecutor(max_workers=n) if n > 1 else None
+    pool = None
+    if n > 1:
+        # The first use of the name imports concurrent.futures.process: about
+        # 20 ms and 2.4 MB that a one-process scan does not pay.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=n)
     generated = 0
     try:
         for count, done in pool.map(unit, ps) if pool else map(unit, ps):
@@ -185,18 +190,6 @@ def _parts(query: SearchQuery, part) -> Iterator:
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-
-
-def __getattr__(name: str):
-    # concurrent.futures.process (and multiprocessing with it) is imported
-    # when a scan first starts a pool, not by every command: it costs about
-    # 20 ms and 2.4 MB.
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def scan(query: SearchQuery) -> list[InvariantReport]:
@@ -214,18 +207,17 @@ def scan(query: SearchQuery) -> list[InvariantReport]:
 def scan_pieces(query: SearchQuery, fmt: str) -> Iterator[str]:
     """Run the scan and return its rows rendered as ``fmt``, in pieces.
 
-    ``fmt`` is a key of ``render.FORMATS`` ("table", "json" or "csv").  The
+    ``fmt`` is a key of ``render.FORMATS`` ("table", "json" or "csv"); any
+    other raises ``SinglabError`` before a pool or a spool exists.  The
     scan completes before this returns, so a row-limit abort or a failed
     check raises before any piece exists.  ``"".join`` of the pieces equals
     ``render_<fmt>(scan(query))``; each p is rendered by the unit that
-    computed it and spooled to an unnamed temporary file in $TMPDIR as it
-    arrives, and the pieces, of about 1 MiB at most, are read back from
-    that file.  A spool that cannot be created or written raises
-    ``SinglabError``.
+    computed it, and ``render.stitch`` spools it to an unnamed temporary
+    file in $TMPDIR as it arrives and reads the pieces, of about 1 MiB at
+    most, back from that file.  A spool that cannot be created or written
+    raises ``SinglabError``.
     """
-    if fmt not in FORMATS:
-        raise SinglabError(f"format must be one of {tuple(FORMATS)}, got {fmt!r}")
-    part, stitch = FORMATS[fmt]
+    part = _format(fmt)[0]
     # Closing the parts shuts the pool down at once if the spool fails.
     with closing(_parts(query, part)) as parts:
-        return stitch(parts, spool=True)
+        return stitch(fmt, parts)

@@ -13,11 +13,12 @@ from singlab import (
     RowLimitExceeded,
     SearchQuery,
     cli,
+    render,
     scan,
     search,
 )
 from singlab.cli import main
-from singlab.render import FORMATS, render_csv, render_json, render_table
+from singlab.render import FORMATS, render_csv, render_json, render_table, stitch
 
 
 def run(capsys, *argv):
@@ -171,29 +172,14 @@ def test_search_output_equals_rendered_scan(capsys, mode, flags):
 
 
 def test_search_output_in_small_blocks(capsys, monkeypatch):
-    # search joins pieces into blocks before writing; blocks far smaller
+    # search writes the stitcher's pieces one at a time; pieces far smaller
     # than the output must give the same bytes.
     expected = render_table(scan(SearchQuery(p_max=20, mode="single-contraction")))
-    monkeypatch.setattr(cli, "_WRITE_BLOCK", 300)
+    monkeypatch.setattr(render, "_PIECE", 300)
     code, out, _ = run(capsys, "search", "--p-max", "20", "--mode", "single-contraction")
     assert code == 0
     assert out == expected
-    assert len(out) > 10 * cli._WRITE_BLOCK
-
-
-def test_search_writes_blocks_of_bounded_size(monkeypatch):
-    # Short pieces are joined while they fit in a block; a longer piece is
-    # written alone.
-    writes = []
-
-    class Out:
-        def write(self, text):
-            writes.append(text)
-
-    monkeypatch.setattr(cli, "_WRITE_BLOCK", 6)
-    pieces = ["aaa", "bbb", "cccc", "dd", "eeee", "ffffffffff", "g"]
-    cli._write_blocks(Out(), pieces)
-    assert writes == ["aaabbb", "ccccdd", "eeee", "ffffffffff", "g"]
+    assert len(out) > 10 * render._PIECE
 
 
 def test_stitchers_with_no_rows():
@@ -202,9 +188,9 @@ def test_stitchers_with_no_rows():
         "json": "[]\n",
         "csv": "p,q,chain,k,sum_e,q_inv,eta,b2,c,positive,label\n",
     }
-    for fmt, (part, stitch) in FORMATS.items():
-        assert "".join(stitch([])) == header[fmt]
-        assert "".join(stitch([part([]), part([])])) == header[fmt]
+    for fmt, (part, _) in FORMATS.items():
+        assert "".join(stitch(fmt, [])) == header[fmt]
+        assert "".join(stitch(fmt, [part([]), part([])])) == header[fmt]
         assert RENDERERS[fmt]([]) == header[fmt]
 
 
@@ -239,9 +225,6 @@ def test_search_failure_at_the_last_p_prints_nothing(capsys, monkeypatch):
         return real_p_rows(p, mode, cap)
 
     monkeypatch.setattr(search, "_p_rows", failing_p_rows)
-    # Write each piece as soon as it exists, so that any output produced
-    # before the failure would show.
-    monkeypatch.setattr(cli, "_WRITE_BLOCK", 1)
     argv = ("search", "--p-max", "12", "--workers", "1", "--format")
     for fmt in FORMATS:
         raised["error"] = InvalidConfiguration
@@ -321,6 +304,51 @@ def test_search_with_a_missing_tmpdir_exits_2(capsys, monkeypatch, tmp_path):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(missing) in err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_closed_stdout_leaves_no_descriptor_open():
+    # main points the closed stdout at devnull and closes the descriptor it
+    # opened for that.  The first call, into a buffer, loads what a search
+    # loads, so that only the second can leave a descriptor behind.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import io, os, sys, contextlib\n"
+        "import singlab.cli\n"
+        "argv = ['search', '--p-max', '300', '--format', 'csv']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    singlab.cli.main(argv)\n"
+        "before = set(os.listdir('/proc/self/fd'))\n"
+        "code = singlab.cli.main(argv)\n"
+        "after = set(os.listdir('/proc/self/fd'))\n"
+        "print(code, sorted(after - before), file=sys.stderr)\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", probe],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b"1 []\n"
+
+
+def test_point_commands_never_spool(capsys, monkeypatch, tmp_path):
+    # Only search spools to TMPDIR; the commands that render a few reports
+    # render them in memory, so a missing TMPDIR changes nothing for them.
+    commands = [
+        ("invariants", "9", "2", "--contract", "0..1"),
+        ("family", "--curves", "1", "--r", "2", "--s", "1", "--d", "1"),
+        ("tables", "--theorems", "--r-max", "3"),
+    ]
+    expected = [run(capsys, *argv) for argv in commands]
+    monkeypatch.setenv("TMPDIR", str(tmp_path / "missing"))
+    for argv, (code, out, err) in zip(commands, expected):
+        assert code == 0 and out and err == ""
+        assert run(capsys, *argv) == (code, out, err)
 
 
 def test_the_process_pool_is_imported_only_by_a_pool():

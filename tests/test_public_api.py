@@ -104,3 +104,26 @@ def test_no_name_is_exported_by_two_modules():
     assert sorted(owner) == PUBLIC_NAMES
     for name, mod_name in owner.items():
         assert getattr(singlab, name) is getattr(_module(mod_name), name)
+
+
+RENDER_NAMES = [
+    "FORMATS",
+    "chain_text",
+    "csv_part",
+    "json_part",
+    "render_csv",
+    "render_json",
+    "render_table",
+    "stitch",
+    "table_part",
+]
+
+
+def test_render_exports_one_stitch_entry_point():
+    # render is not re-exported by the package; its list is pinned here, so
+    # that a per-format stitch wrapper cannot come back unnoticed.
+    # render_<fmt> stay: the benchmark's tracer wraps them.
+    render = _module("render")
+    assert render.__all__ == RENDER_NAMES
+    for name in RENDER_NAMES:
+        assert getattr(render, name) is not None

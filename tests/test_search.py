@@ -37,9 +37,7 @@ from singlab.render import (
     render_csv,
     render_json,
     render_table,
-    stitch_csv,
-    stitch_json,
-    stitch_table,
+    stitch,
 )
 from singlab.search import MODES, _disjoint_subsets, _pair_rows, row_limit, scan_pieces
 
@@ -183,7 +181,7 @@ def test_scan_processes_capped_at_cores(monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             cancelled.append(cancel_futures)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
 
     def pools(cores, p_max=12, **kw):
         monkeypatch.setattr("os.cpu_count", lambda: cores)
@@ -318,15 +316,25 @@ def test_scan_rows_match_the_validating_builder():
         assert scan(SearchQuery(p_max=60, mode=mode)) == expected
 
 
+def _chain_length(p, q):
+    # len(hj_resolve(CyclicQuotient(p, q))) from the regular continued
+    # fraction, without building the chain: q = p - 1 alone has p - 1
+    # entries, 8 GB at p = 10**9.  See hj_resolve for the entry counts.
+    terms, a, b = [], p, q
+    while b:
+        terms.append(a // b)
+        a, b = b, a % b
+    return len(terms[::2]) + sum(t - 1 for t in terms[1::2])
+
+
 @given(st.integers(2, 10**9), st.integers(1, 10**9))
 def test_scan_rows_match_the_validating_builder_at_large_p(p, q0):
     # The same reference past the p <= 60 window: recognition is linear in
     # the substring length, so configuration() keeps up at any p.
     q = q0 % p
-    assume(q != 0 and gcd(p, q) == 1)
+    assume(q != 0 and gcd(p, q) == 1 and _chain_length(p, q) <= 200)
     g = CyclicQuotient(p, q)
     chain = hj_resolve(g)
-    assume(len(chain) <= 200)
     for chosen in _disjoint_subsets(find_type_t_substrings(chain), 3):
         built = ResolutionConfiguration(g, chain, tuple(chosen))
         assert built == configuration(g, [(iv.start, iv.stop) for iv in chosen])
@@ -431,7 +439,7 @@ def _reference_render_json(rows):
         )
         for row in rows
     )
-    return "".join(stitch_json([part]))
+    return "".join(stitch("json", [part]))
 
 
 def _reference_render_csv(rows):
@@ -452,7 +460,7 @@ def _reference_render_csv(rows):
         ]
         for row in rows
     )
-    return "".join(stitch_csv([buf.getvalue()]))
+    return "".join(stitch("csv", [buf.getvalue()]))
 
 
 def _reference_render_table(rows):
@@ -473,7 +481,7 @@ def _reference_render_table(rows):
     ]
     widths = tuple(max(map(len, column)) for column in zip(*records))
     part = (widths or (0,) * 10, "\n".join(map("\t".join, records)))
-    return "".join(stitch_table([part]))
+    return "".join(stitch("table", [part]))
 
 
 REFERENCE_RENDER = {
@@ -505,17 +513,16 @@ def test_pair_rows_render_as_the_reference_at_large_p(p, q0):
     # One pair's record and rows, through each part renderer, give the bytes
     # the report-based reference gives for the builder's reports.
     q = q0 % p
-    assume(q != 0 and gcd(p, q) == 1)
+    assume(q != 0 and gcd(p, q) == 1 and _chain_length(p, q) <= 200)
     g = CyclicQuotient(p, q)
-    assume(len(hj_resolve(g)) <= 200)
     expected = _builder_reports(g, 3)
     pair, rows = _pair_rows(g, 3)
     assert [invariants._report(p, pair, row) for row in rows] == expected
     for fmt, (reference, render) in REFERENCE_RENDER.items():
-        part, stitch = FORMATS[fmt]
+        part = FORMATS[fmt][0]
         text = reference(expected)
         assert render(expected) == text
-        assert "".join(stitch([part([(p, pair, rows)])])) == text
+        assert "".join(stitch(fmt, [part([(p, pair, rows)])])) == text
 
 
 def test_bench_scans_keep_their_digests(monkeypatch):
@@ -539,21 +546,21 @@ RENDERERS = {"table": render_table, "json": render_json, "csv": render_csv}
 
 def test_pieces_are_bounded_and_spooled_equal_to_memory(monkeypatch):
     # Every piece is at most render._PIECE characters, whichever way the
-    # parts are stitched, and the spooled stitch equals the in-memory one.
+    # parts are cut, and the spooled stitch equals render_<fmt>, which
+    # stitches in memory.
     monkeypatch.setattr(render, "_PIECE", 4096)
     query = SearchQuery(p_max=40, mode="single-contraction")
     rows = scan(query)
-    for fmt, (part, stitch) in FORMATS.items():
+    for fmt, (part, _) in FORMATS.items():
         expected = RENDERERS[fmt](rows)
         pieces = list(scan_pieces(query, fmt))
         assert "".join(pieces) == expected
         assert len(pieces) > 10
         assert max(map(len, pieces)) <= 4096
         parts = [part(_records(rows[i : i + 50])) for i in range(0, len(rows), 50)]
-        for spool in (False, True):
-            pieces = list(stitch(parts, spool))
-            assert "".join(pieces) == expected
-            assert max(map(len, pieces)) <= 4096
+        pieces = list(stitch(fmt, parts))
+        assert "".join(pieces) == expected
+        assert max(map(len, pieces)) <= 4096
 
 
 def _open_fds():
@@ -625,3 +632,30 @@ def test_a_full_spool_is_a_singlab_error(monkeypatch):
             assert info.value.__cause__.errno == errno.ENOSPC
     if before is not None:
         assert _open_fds() == before
+
+
+def test_an_unknown_format_fails_before_a_pool_or_a_spool(monkeypatch, tmp_path):
+    # stitch and scan_pieces reject a format with the same error, before
+    # they start a pool, create a spool or take a part.
+    import tempfile
+
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    started = []
+
+    def record(*args, **kwargs):
+        started.append(args)
+        raise AssertionError("no pool or spool may be started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", record)
+    monkeypatch.setattr(tempfile, "TemporaryFile", record)
+
+    def parts():
+        started.append("parts")
+        yield ""
+
+    message = r"format must be one of \('table', 'json', 'csv'\), got 'xml'"
+    with pytest.raises(SinglabError, match=message):
+        stitch("xml", parts())
+    with pytest.raises(SinglabError, match=message):
+        scan_pieces(SearchQuery(p_max=12, workers=2), "xml")
+    assert started == [] and os.listdir(tmp_path) == []
