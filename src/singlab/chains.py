@@ -151,8 +151,14 @@ def hj_resolve(g: CyclicQuotient) -> ResolutionChain:
     is exactly q/p; the ceiling recursion p = e_1 q - a_1, q = e_2 a_1 -
     a_2, ... is the test oracle.
     """
+    return _hj_chain(g.p, g.q)
+
+
+def _hj_chain(p: int, q: int) -> ResolutionChain:
+    # hj_resolve of a pair the caller knows to be a valid quotient, so no
+    # CyclicQuotient is built: the scan's chain source.
     entries = []
-    a, b, bump = g.p, g.q, 1
+    a, b, bump = p, q, 1
     while True:
         # a/b = t + (a % b)/b, t at an odd position: one entry t + bump.
         entries.append(a // b + bump)

@@ -102,7 +102,7 @@ def _parse_entries(text: str) -> ResolutionChain:
     try:
         return ResolutionChain(int(e) for e in text.split(","))
     except ValueError as exc:
-        raise SinglabError(f"chain entries look like 5,2 got {text!r}") from exc
+        raise SinglabError(f"chain entries look like 5,2, got {text!r}") from exc
 
 
 def _run(args: argparse.Namespace, out) -> int:

@@ -15,15 +15,17 @@ computed from the one chain-sum route for eta,
 
 as an integer numerator over p; Fractions are built only for a report.
 That numerator depends only on the pair (p, q), so it is computed once per
-pair, in a pair record (q, chain, k, sum_e, q_inv, eta_num), and checked
-there against the Dedekind-sum route of :mod:`singlab.eta`
-(eta = 4*s(q, p)), which reads neither the chain nor q^(-1;p): a wrong
-chain entry or a wrong inverse raises InternalCheckError.  A configuration
-of the pair adds the row (b2, c_num, label), with p*C = c_num.
-``configuration_invariants`` turns one configuration into an
-``InvariantReport``; it is the route for point queries and the CLI, and
-the reference for a scan, which builds its rows from pair records
-(:mod:`singlab.search`).
+pair, in a pair record (q, chain, k, sum_e, q_inv, eta_num) built from the
+integers p, q and the chain, and checked there against the Dedekind-sum
+route of :mod:`singlab.eta` (eta = 4*s(q, p)), which reads neither the
+chain nor q^(-1;p): a wrong chain entry or a wrong inverse raises
+InternalCheckError.  A configuration of the pair adds the row
+(b2, c_num, label), with p*C = c_num; each contracted substring enters it
+as a hit (start, stop, b2 change, label), so a scan that puts one hit in
+many configurations computes those once.  ``configuration_invariants``
+turns one configuration into an ``InvariantReport``; it is the route for
+point queries and the CLI's point commands, and the reference for a scan,
+which builds its rows from pair records and hits (:mod:`singlab.search`).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .eta import _eta_num
-from .exact import cf_eval_pair
+from .exact import cf_eval_pair, mod_inverse
 from .type_t import TypeTParams, recognize_type_t, type_t_string
 
 __all__ = [
@@ -86,16 +88,21 @@ class ContractedInterval(NamedTuple):
         return f"contract[{self.start}..{self.stop}]={self.params.label()}"
 
 
-def _b2(k: int, contracted: Sequence[ContractedInterval]) -> int:
-    # b2 of the smoothing of a chain of k curves: the curves of each
-    # contracted substring are traded for s - 1 classes.
-    for iv in contracted:
-        k += iv.params.s - 1 - iv.length
+def _hit(iv: ContractedInterval) -> tuple[int, int, int, str]:
+    # (start, stop, b2 change, label) of a contracted substring: its curves
+    # are traded for s - 1 classes of the smoothing.
+    return iv.start, iv.stop, iv.params.s - 1 - iv.length, iv.label()
+
+
+def _b2(k: int, hits: Sequence[tuple]) -> int:
+    # b2 of the smoothing of a chain of k curves with these hits contracted.
+    for hit in hits:
+        k += hit[2]
     return k
 
 
-def _label(contracted: Sequence[ContractedInterval]) -> str:
-    return "+".join(iv.label() for iv in contracted) if contracted else "artin"
+def _label(hits: Sequence[tuple]) -> str:
+    return "+".join(hit[3] for hit in hits) if hits else "artin"
 
 
 @dataclass(frozen=True)
@@ -109,10 +116,10 @@ class ResolutionConfiguration:
     @property
     def b2(self) -> int:
         """Second Betti number of the smoothing."""
-        return _b2(len(self.chain), self.contracted)
+        return _b2(len(self.chain), [_hit(iv) for iv in self.contracted])
 
     def label(self) -> str:
-        return _label(self.contracted)
+        return _label([_hit(iv) for iv in self.contracted])
 
 
 @dataclass(frozen=True)
@@ -134,8 +141,9 @@ class InvariantReport:
 
 def artin_configuration(g: CyclicQuotient) -> ResolutionConfiguration:
     """The configuration with nothing contracted: ``configuration(g, ())``,
-    so its chain is resolved in one place.  A scan builds each contracted
-    row from this chain and the hits of ``find_type_t_substrings``."""
+    so its chain is resolved in one place.  ``search.scan`` reads each
+    pair's chain from it; ``search.scan_pieces`` resolves the same chain
+    from the integers (p, q), without building this configuration."""
     return configuration(g, ())
 
 
@@ -168,14 +176,14 @@ def configuration(
     return ResolutionConfiguration(g, chain, tuple(contracted))
 
 
-def _pair_record(g: CyclicQuotient, chain: Sequence[int]) -> tuple:
-    # (q, chain, k, sum_e, q_inv, eta_num) of a quotient and its minimal
-    # chain, with eta_num = 3*p*eta from the chain sums.  Every row of the
-    # pair shares these facts, so the Dedekind check runs here, once per pair.
-    p, q = g.p, g.q
+def _pair_record(p: int, q: int, chain: Sequence[int]) -> tuple:
+    # (q, chain, k, sum_e, q_inv, eta_num) of a valid quotient (p, q) and
+    # its minimal chain, with eta_num = 3*p*eta from the chain sums.  Every
+    # row of the pair shares these facts, so the Dedekind check runs here,
+    # once per pair.
     k = len(chain)
     sum_e = sum(chain)
-    q_inv = g.q_inverse()
+    q_inv = mod_inverse(q, p)
     eta_num = p * sum_e + q_inv + q - 3 * k * p
     dedekind_num = _eta_num(p, q)
     if eta_num != dedekind_num:
@@ -219,8 +227,9 @@ def configuration_invariants(cfg: ResolutionConfiguration) -> InvariantReport:
     disagrees with the Dedekind-sum eta of the quotient.
     """
     p = cfg.quotient.p
-    pair = _pair_record(cfg.quotient, cfg.chain)
-    return _report(p, pair, _row(p, pair[5], cfg.b2, cfg.label()))
+    pair = _pair_record(p, cfg.quotient.q, cfg.chain)
+    hits = [_hit(iv) for iv in cfg.contracted]
+    return _report(p, pair, _row(p, pair[5], _b2(pair[2], hits), _label(hits)))
 
 
 def find_type_t_substrings(chain: Sequence[int]) -> list[ContractedInterval]:

@@ -73,6 +73,9 @@ def test_typet_recognize(capsys):
     assert code == 0 and out == "not type T\n"
     code, _, err = run(capsys, "typet", "recognize", "abc")
     assert code == 2
+    code, out, err = run(capsys, "typet", "recognize", "5,x")
+    assert (code, out) == (2, "")
+    assert err == "error: chain entries look like 5,2, got '5,x'\n"
 
 
 def test_typet_enumerate(capsys):
@@ -219,10 +222,10 @@ def test_search_failure_at_the_last_p_prints_nothing(capsys, monkeypatch):
     real_p_rows = search._p_rows
     raised = {}
 
-    def failing_p_rows(p, mode, cap):
+    def failing_p_rows(p, mode, cap, resolve):
         if p == 12:
             raise raised["error"](f"injected failure at p = {p}")
-        return real_p_rows(p, mode, cap)
+        return real_p_rows(p, mode, cap, resolve)
 
     monkeypatch.setattr(search, "_p_rows", failing_p_rows)
     argv = ("search", "--p-max", "12", "--workers", "1", "--format")

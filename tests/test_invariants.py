@@ -25,6 +25,7 @@ from singlab import (
     family_minimal_graph,
     find_type_t_substrings,
     hj_resolve,
+    invariants,
     recognize_type_t,
     theorem_tables,
     type_t_string,
@@ -108,10 +109,10 @@ def test_eta_check_catches_a_wrong_chain_or_inverse(monkeypatch):
         configuration_invariants(
             ResolutionConfiguration(g, ResolutionChain((3, 2, 3)), ())
         )
-    true_inverse = CyclicQuotient.q_inverse
-    monkeypatch.setattr(
-        CyclicQuotient, "q_inverse", lambda self: true_inverse(self) + 1
-    )
+    # Every pair record, a point query's or a scan's, takes q^(-1;p) from
+    # mod_inverse.
+    true_inverse = invariants.mod_inverse
+    monkeypatch.setattr(invariants, "mod_inverse", lambda q, p: true_inverse(q, p) + 1)
     with pytest.raises(InternalCheckError):
         _artin_report(7, 3)
 

@@ -53,6 +53,24 @@ def test_query_validation():
         SearchQuery(p_max=5, workers=0)
     with pytest.raises(SinglabError):
         SearchQuery(p_max=5, max_contractions=0)
+    # Counts are integers and flags are bools, rejected when the query is
+    # built, not by range() or < inside the scan.
+    for fields in (
+        {"p_max": 10.0},
+        {"p_max": "10"},
+        {"p_max": True},
+        {"p_max": 10, "workers": 2.0},
+        {"p_max": 10, "workers": True},
+        {"p_max": 10, "max_contractions": True},
+        {"p_max": 10, "max_contractions": 3.0},
+        {"p_max": 10, "positive_only": "no"},
+        {"p_max": 10, "positive_only": 0},
+        {"p_max": 10, "dedup_conjugate": 1},
+    ):
+        with pytest.raises(SinglabError, match="must be an integer|must be a bool"):
+            SearchQuery(**fields)
+    SearchQuery(p_max=10, workers=2, max_contractions=1, positive_only=True,
+                dedup_conjugate=False)
 
 
 def test_smallest_scan():
@@ -357,16 +375,22 @@ def test_sweep_checks_every_hit(monkeypatch):
 
 
 def _bump_q_inverse(monkeypatch):
-    true_inverse = CyclicQuotient.q_inverse
-    monkeypatch.setattr(CyclicQuotient, "q_inverse", lambda g: true_inverse(g) + 1)
+    # Both routes' pair records take q^(-1;p) from mod_inverse.
+    true_inverse = invariants.mod_inverse
+    monkeypatch.setattr(invariants, "mod_inverse", lambda q, p: true_inverse(q, p) + 1)
 
 
 def _bump_chain_entry(monkeypatch):
-    def bumped(g):
-        chain = hj_resolve(g)
+    # scan() resolves through hj_resolve, which reads chains._hj_chain;
+    # scan_pieces calls search._hj_chain directly.
+    true_chain = chains._hj_chain
+
+    def bumped(p, q):
+        chain = true_chain(p, q)
         return chains.ResolutionChain(chain[:-1] + (chain[-1] + 1,))
 
-    monkeypatch.setattr(invariants, "hj_resolve", bumped)
+    monkeypatch.setattr(chains, "_hj_chain", bumped)
+    monkeypatch.setattr(search, "_hj_chain", bumped)
 
 
 @pytest.mark.parametrize("fault", [_bump_q_inverse, _bump_chain_entry])
@@ -382,6 +406,39 @@ def test_scan_checks_eta_once_per_pair(monkeypatch, fault):
         for fmt in FORMATS:
             with pytest.raises(InternalCheckError, match="eta cross-check"):
                 "".join(scan_pieces(query, fmt))
+
+
+def test_only_scan_builds_a_quotient_and_a_configuration_per_pair(monkeypatch):
+    # scan_pieces, the path of singlab search, resolves each pair from its
+    # integers.  scan() resolves it through CyclicQuotient and
+    # artin_configuration, once each per pair, so that its calls nest as
+    # the benchmark's tracer test expects.
+    built, configured = [], []
+    true_post_init = CyclicQuotient.__post_init__
+    true_artin = search.artin_configuration
+
+    def counted_post_init(g):
+        built.append((g.p, g.q))
+        true_post_init(g)
+
+    def counted_artin(g):
+        configured.append((g.p, g.q))
+        return true_artin(g)
+
+    monkeypatch.setattr(CyclicQuotient, "__post_init__", counted_post_init)
+    monkeypatch.setattr(search, "artin_configuration", counted_artin)
+    pairs = [(p, q) for p in range(2, 31) for q in range(1, p) if gcd(p, q) == 1]
+    for mode in MODES:
+        query = SearchQuery(p_max=30, mode=mode)
+        for fmt in FORMATS:
+            built.clear()
+            configured.clear()
+            "".join(scan_pieces(query, fmt))
+            assert (built, configured) == ([], [])
+        built.clear()
+        configured.clear()
+        scan(query)
+        assert built == configured == pairs
 
 
 def test_scan_runs_the_dedekind_sum_once_per_pair(monkeypatch):
@@ -514,9 +571,10 @@ def test_pair_rows_render_as_the_reference_at_large_p(p, q0):
     # the report-based reference gives for the builder's reports.
     q = q0 % p
     assume(q != 0 and gcd(p, q) == 1 and _chain_length(p, q) <= 200)
-    g = CyclicQuotient(p, q)
-    expected = _builder_reports(g, 3)
-    pair, rows = _pair_rows(g, 3)
+    expected = _builder_reports(CyclicQuotient(p, q), 3)
+    # scan_pieces' chain source and scan()'s give the same record and rows.
+    pair, rows = _pair_rows(p, q, 3, chains._hj_chain)
+    assert _pair_rows(p, q, 3, search._artin_chain) == (pair, rows)
     assert [invariants._report(p, pair, row) for row in rows] == expected
     for fmt, (reference, render) in REFERENCE_RENDER.items():
         part = FORMATS[fmt][0]
@@ -577,7 +635,7 @@ def test_no_spool_file_outlives_the_scan(monkeypatch, tmp_path):
     real_p_rows = search._p_rows
     seen = {}
 
-    def spy_p_rows(p, mode, cap):
+    def spy_p_rows(p, mode, cap, resolve):
         if p == 12:
             seen["spools"] = [
                 target
@@ -586,7 +644,7 @@ def test_no_spool_file_outlives_the_scan(monkeypatch, tmp_path):
             ]
             if seen.get("error"):
                 raise seen["error"](f"injected failure at p = {p}")
-        return real_p_rows(p, mode, cap)
+        return real_p_rows(p, mode, cap, resolve)
 
     query = SearchQuery(p_max=12)
     rows = scan(query)
