@@ -27,6 +27,7 @@ from .errors import (
     NonMinimalChain,
     NotMinusOneCurve,
     SinglabError,
+    _check_ints,
 )
 from .exact import cf_eval, mod_inverse
 
@@ -57,14 +58,13 @@ class CyclicQuotient:
     q: int
 
     def __post_init__(self) -> None:
+        # Exact ints pass at once; any other type gets the full check.
+        if not type(self.p) is type(self.q) is int:
+            _check_ints(self, "p", "q")
         if self.p < 2:
             raise SinglabError(f"group order must be at least 2, got p={self.p}")
         if not 1 <= self.q < self.p:
             raise SinglabError(f"need 1 <= q < p, got (p, q) = ({self.p}, {self.q})")
-        # bool is an int subclass: a bool p fails p >= 2 and False fails
-        # q >= 1, but True passes, so it is caught by identity.
-        if self.q is True:
-            raise SinglabError(f"q must be an integer, not a bool, got q={self.q}")
         if gcd(self.p, self.q) != 1:
             raise SinglabError(
                 f"(p, q) = ({self.p}, {self.q}) is not coprime; the action is not free"

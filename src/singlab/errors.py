@@ -3,7 +3,8 @@
 ``SinglabError`` covers every failure caused by invalid input or an invalid
 requested operation; the CLI maps it to exit code 2.  ``RowLimitExceeded`` is
 the resource guard (exit code 3) and ``InternalCheckError`` signals a broken
-internal cross-check, which is a bug, never a user error.
+internal cross-check, which is a bug, never a user error.  ``_check_ints``
+is the one integer-field check of the library's value types.
 """
 
 __all__ = [
@@ -26,6 +27,15 @@ __all__ = [
 
 class SinglabError(ValueError):
     """Base class for all input/contract violations raised by singlab."""
+
+
+def _check_ints(obj, *names: str) -> None:
+    # Each named field of obj is an int; bool is an int subclass, so a bool
+    # is caught by identity.
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, int) or value is True or value is False:
+            raise SinglabError(f"{name} must be an integer, got {value!r}")
 
 
 class NotInvertible(SinglabError):

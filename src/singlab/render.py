@@ -4,29 +4,25 @@ Exact values survive serialization: JSON carries {"num", "den"} strings plus
 a 15-significant-digit decimal convenience string, CSV carries "num/den"
 text, and the table marks positive C with a trailing "+".
 
-Each format is a part function and a stitcher; the first renders a run of
-records into a compact, picklable part: CSV body lines, JSON object lines
-joined by ",\\n", or, for the table, the part's column widths plus one
-string holding its rows, one line per row with the cells joined by a tab.
-A record is (p, pair, rows): the pair record (q, chain, k, sum_e, q_inv,
-eta_num) with 3*p*eta = eta_num, and the pair's rows (b2, c_num, label)
-with p*C = c_num (a scan renders one p at a time).  The pair's cells are
-formatted once per record and only b2, C, positive and the label per row.
-The stitcher writes each part to a spool as it arrives: what the format
-writes between parts (the JSON separators, the table's line ends) goes
-with it, and only the table's column widths, merged over the parts, stay
-in memory.  Once every part is in, it reads the spool back and yields the
-output in pieces of at most about 1 MiB (``_PIECE``), in order: what the
+Each format is a part function and a reader.  The part function renders a
+run of records into a part, a picklable str: CSV body lines, one JSON
+object per row with ",\\n" before each, or the table's unpadded lines with
+the cells joined by a tab.  A record is (p, pair, rows): the pair record
+(q, chain, k, sum_e, q_inv, eta_num) with 3*p*eta = eta_num, and the pair's
+rows (b2, c_num, label) with p*C = c_num (a scan renders one p at a time).
+The pair's cells are formatted once per record and only b2, C, positive
+and the label per row.  Parts concatenate, so the parts of a run are
+written to a text stream as they arrive, and the reader turns that stream
+into the output in pieces of at most about 1 MiB (``_PIECE``): what the
 format writes once (the CSV header, the JSON brackets, the table header)
-and the spooled text, the table's lines padded to the merged widths as
-they are read.  ``FORMATS`` maps each format name to its (part function,
-stitcher class) pair.  ``stitch(fmt, parts)`` spools to an unnamed
-temporary file in $TMPDIR, and a spool that cannot be created or written
-raises ``SinglabError``; a caller can write the pieces one at a time, so
-no joined copy of the output is built.  ``render_<fmt>(rows)`` turns
-invariant reports into the records of a single part and stitches it
-through a spool in memory, so it never touches $TMPDIR.  Each row format
-and each stitching routine is written once.
+and the streamed text, the table's lines padded as they are read.
+``FORMATS`` maps each format name to its (part function, reader) pair.
+``stitch(fmt, parts)`` streams the parts to an unnamed temporary file in
+$TMPDIR, the spool, and a spool that cannot be created or written raises
+``SinglabError``; a caller can write the pieces one at a time, so no joined
+copy of the output is built.  ``render_<fmt>(rows)`` renders invariant
+reports as one part and reads it in memory, so it never touches $TMPDIR.
+Each row format and each reader is written once.
 """
 
 from __future__ import annotations
@@ -37,9 +33,8 @@ import os
 from contextlib import suppress
 from fractions import Fraction
 from functools import partial
-from itertools import groupby, islice
+from itertools import islice
 from math import gcd
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SinglabError
@@ -89,54 +84,22 @@ def _over(x: Fraction, den: int) -> int:
 
 
 def _records(rows: Iterable[InvariantReport]) -> Iterator[tuple[int, tuple, list]]:
-    # One (p, pair, rows) record per run of consecutive rows that share their
-    # pair-level fields; each row keeps (b2, c_num, label).
-    pair_fields = attrgetter("p", "q", "chain", "k", "sum_e", "q_inv", "eta")
-    for (p, q, chain, k, sum_e, q_inv, eta), same in groupby(rows, key=pair_fields):
+    # One (p, pair, rows) record per report, whose one row is (b2, c_num, label).
+    for row in rows:
+        p = row.p
         yield (
             p,
-            (q, chain, k, sum_e, q_inv, _over(eta, 3 * p)),
-            [(row.b2, _over(row.c_value, p), row.label) for row in same],
+            (row.q, row.chain, row.k, row.sum_e, row.q_inv, _over(row.eta, 3 * p)),
+            [(row.b2, _over(row.c_value, p), row.label)],
         )
 
 
-# The stitchers read the output back in pieces of at most about this many
+# The readers yield the output in pieces of at most about this many
 # characters.
 _PIECE = 1 << 20
 
-
-def _guarded(directory, fn, *args, **kwargs):
-    # fn(*args, **kwargs), with a failure of the spool raised as a
-    # SinglabError that names the spool's directory.
-    try:
-        return fn(*args, **kwargs)
-    except OSError as exc:
-        raise SinglabError(
-            f"cannot spool the output in {directory!r}: {exc.strerror or exc}"
-        ) from exc
-
-
-def _stitch(stitcher, parts, buffer, directory=None) -> Iterator[str]:
-    # Write each part to the spool, the binary buffer, as it arrives; once
-    # every part is in, return the pieces read back from it.  An error in the
-    # parts raises here, before any piece exists.  The spool is closed when
-    # the pieces are used up, when their generator is closed, and on every
-    # error.  A failed write names the spool's directory (None: memory).
-    stream = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
-    try:
-        for part in parts:
-            _guarded(directory, stitcher.add, part, stream.write)
-        _guarded(directory, stream.seek, 0)
-    except BaseException:
-        with suppress(OSError):  # a failed flush still closes the file
-            stream.close()
-        raise
-    return _read_back(stitcher, stream)
-
-
-def _read_back(stitcher, stream) -> Iterator[str]:
-    with stream:
-        yield from stitcher.pieces(stream)
+# A text stream over a binary buffer, with no newline translation.
+_text = partial(io.TextIOWrapper, encoding="utf-8", newline="\n")
 
 
 def _blocks(stream) -> Iterator[str]:
@@ -144,7 +107,7 @@ def _blocks(stream) -> Iterator[str]:
 
 
 def json_part(records: Iterable[tuple[int, tuple, list]]) -> str:
-    """One JSON object per row, joined by ",\\n" ("" for no rows)."""
+    """One JSON object per row, each after ",\\n" ("" for no rows)."""
     lines = []
     for p, (q, chain, k, sum_e, q_inv, eta_num), rows in records:
         head = (
@@ -154,39 +117,28 @@ def json_part(records: Iterable[tuple[int, tuple, list]]) -> str:
         )
         for b2, c_num, label in rows:
             lines.append(
-                f'{head}{b2}, "c": {_rational_json(c_num, p)}, '
+                f',\n{head}{b2}, "c": {_rational_json(c_num, p)}, '
                 f'"positive": {"true" if c_num > 0 else "false"}, '
                 f'"label": {json.dumps(label)}}}'
             )
-    return ",\n".join(lines)
+    return "".join(lines)
 
 
-class _JsonStitcher:
-    # A JSON array of the objects of every part: the parts with rows are
-    # spooled joined by ",\n", and read back between "[\n" and "\n]\n".
-    rows = False
-
-    def add(self, part: str, write) -> None:
-        if part:
-            if self.rows:
-                write(",\n")
-            write(part)
-            self.rows = True
-
-    def pieces(self, spool) -> Iterator[str]:
-        if not self.rows:
-            yield "[]\n"
-            return
-        yield "[\n"
-        yield from _blocks(spool)
-        yield "\n]\n"
+def _read_json(spool) -> Iterator[str]:
+    # A JSON array of the spooled objects, less the ",\n" before the first.
+    # Seeking to where read(2) stopped drops the rest of the chunk it
+    # decoded, so each piece is one decoded chunk, not a join of two.
+    if not spool.read(2):
+        yield "[]\n"
+        return
+    spool.seek(spool.tell())
+    yield "[\n"
+    yield from _blocks(spool)
+    yield "\n]\n"
 
 
 def render_json(rows: Iterable[InvariantReport]) -> str:
     return _render("json", rows)
-
-
-_CSV_HEADER = "p,q,chain,k,sum_e,q_inv,eta,b2,c,positive,label\n"
 
 
 def _csv_field(text: str) -> str:
@@ -213,14 +165,9 @@ def csv_part(records: Iterable[tuple[int, tuple, list]]) -> str:
     return "".join(lines)
 
 
-class _CsvStitcher:
-    # The header, then the body lines of every part as they were spooled.
-    def add(self, part: str, write) -> None:
-        write(part)
-
-    def pieces(self, spool) -> Iterator[str]:
-        yield _CSV_HEADER
-        yield from _blocks(spool)
+def _read_csv(spool) -> Iterator[str]:
+    yield "p,q,chain,k,sum_e,q_inv,eta,b2,c,positive,label\n"
+    yield from _blocks(spool)
 
 
 def render_csv(rows: Iterable[InvariantReport]) -> str:
@@ -228,67 +175,55 @@ def render_csv(rows: Iterable[InvariantReport]) -> str:
 
 
 _TABLE_COLUMNS = ("p", "q", "chain", "k", "sum_e", "q_inv", "eta", "b2", "C", "label")
-_LEFT_ALIGNED = {"chain", "label"}
+
+# The table reader measures the column widths in blocks of at most this
+# many characters, so that pass holds one block's cells, not a piece's.
+_MEASURE = 1 << 14
 
 
-def table_part(
-    records: Iterable[tuple[int, tuple, list]]
-) -> tuple[tuple[int, ...], str]:
-    """The column widths of the rows and their unpadded lines, one string.
+def table_part(records: Iterable[tuple[int, tuple, list]]) -> str:
+    """The unpadded lines of the rows, each ending in a newline.
 
     Each line holds a row's cells in ``_TABLE_COLUMNS`` order, joined by a
-    tab, and the lines are joined by newlines; no cell contains either.
+    tab; no cell contains a tab or a newline.
     """
-    pair_cells, row_cells, lines = [], [], []
+    lines = []
     for p, (q, chain, k, sum_e, q_inv, eta_num), rows in records:
-        if not rows:
-            continue
-        cells = (
-            str(p),
-            str(q),
-            chain_text(chain),
-            str(k),
-            str(sum_e),
-            str(q_inv),
-            _ratio(eta_num, 3 * p),
+        head = (
+            f"{p}\t{q}\t{chain_text(chain)}\t{k}\t{sum_e}\t{q_inv}\t"
+            f"{_ratio(eta_num, 3 * p)}\t"
         )
-        pair_cells.append(cells)
-        head = "\t".join(cells)
         for b2, c_num, label in rows:
-            tail = (str(b2), _ratio(c_num, p) + ("+" if c_num > 0 else ""), label)
-            row_cells.append(tail)
-            lines.append(f"{head}\t{tail[0]}\t{tail[1]}\t{label}")
-    widths = tuple(
-        max(map(len, column)) for column in (*zip(*pair_cells), *zip(*row_cells))
-    )
-    return widths or (0,) * len(_TABLE_COLUMNS), "\n".join(lines)
+            lines.append(
+                f"{head}{b2}\t{_ratio(c_num, p)}{'+' if c_num > 0 else ''}\t{label}\n"
+            )
+    return "".join(lines)
 
 
-class _TableStitcher:
-    # The header, then the lines of every part padded to the column widths
-    # over all parts.  The widths are merged as the parts are spooled, so
-    # they are known before any line is read back.
-    def __init__(self) -> None:
-        self.widths = [len(col) for col in _TABLE_COLUMNS]
-
-    def add(self, part: tuple[tuple[int, ...], str], write) -> None:
-        widths, text = part
-        self.widths = list(map(max, self.widths, widths))
-        if text:
-            write(text)
-            write("\n")
-
-    def pieces(self, spool) -> Iterator[str]:
-        line = "  ".join(
-            f"{{:{'<' if col in _LEFT_ALIGNED else '>'}{width}}}"
-            for col, width in zip(_TABLE_COLUMNS, self.widths)
-        ).format
-        yield line(*_TABLE_COLUMNS).rstrip() + "\n"
-        # A padded line is shorter than sum(widths) + 2 * len(widths).
-        batch = max(1, _PIECE // (sum(self.widths) + 2 * len(self.widths)))
-        while lines := list(islice(spool, batch)):
-            # rstrip drops the label's padding and the spooled newline.
-            yield "".join([line(*cells.split("\t")).rstrip() + "\n" for cells in lines])
+def _read_table(spool) -> Iterator[str]:
+    # The header, then the spooled lines padded to the column widths over
+    # the header and every line: a first pass measures the lines block by
+    # block, carrying a line cut at a block's end into the next block, and
+    # a second pass pads them as it reads them.
+    widths = [len(col) for col in _TABLE_COLUMNS]
+    rest = ""
+    for block in iter(partial(spool.read, min(_PIECE, _MEASURE)), ""):
+        *lines, rest = (rest + block).split("\n")
+        # The header's cells keep every column in a block of no whole line.
+        columns = zip(_TABLE_COLUMNS, *[cells.split("\t") for cells in lines])
+        widths = [max(width, max(map(len, col))) for width, col in zip(widths, columns)]
+    spool.seek(0)
+    # The label, the last column, is not padded, so a spooled line keeps its
+    # newline and has no trailing spaces.
+    line = "  ".join(
+        "{}" if col == "label" else f"{{:{'<' if col == 'chain' else '>'}{width}}}"
+        for col, width in zip(_TABLE_COLUMNS, widths)
+    ).format
+    yield line(*_TABLE_COLUMNS) + "\n"
+    # A padded line is shorter than sum(widths) + 2 * len(widths).
+    batch = max(1, _PIECE // (sum(widths) + 2 * len(widths)))
+    while lines := list(islice(spool, batch)):
+        yield "".join([line(*cells.split("\t")) for cells in lines])
 
 
 def render_table(rows: Iterable[InvariantReport]) -> str:
@@ -296,37 +231,63 @@ def render_table(rows: Iterable[InvariantReport]) -> str:
 
 
 FORMATS = {
-    "table": (table_part, _TableStitcher),
-    "json": (json_part, _JsonStitcher),
-    "csv": (csv_part, _CsvStitcher),
+    "table": (table_part, _read_table),
+    "json": (json_part, _read_json),
+    "csv": (csv_part, _read_csv),
 }
 
 
 def _format(fmt: str):
-    # The (part function, stitcher class) pair of fmt.
+    # The (part function, reader) pair of fmt.
     if fmt not in FORMATS:
         raise SinglabError(f"format must be one of {tuple(FORMATS)}, got {fmt!r}")
     return FORMATS[fmt]
 
 
-def stitch(fmt: str, parts: Iterable) -> Iterator[str]:
+def _guarded(directory, fn, *args, **kwargs):
+    # fn(*args, **kwargs), with a failure of the spool raised as a
+    # SinglabError that names the spool's directory.
+    try:
+        return fn(*args, **kwargs)
+    except OSError as exc:
+        raise SinglabError(
+            f"cannot spool the output in {directory!r}: {exc.strerror or exc}"
+        ) from exc
+
+
+def stitch(fmt: str, parts: Iterable[str]) -> Iterator[str]:
     """The pieces of the output of ``fmt``'s parts, in order.
 
-    ``fmt`` is a key of ``FORMATS``.  Every part is spooled to an unnamed
-    temporary file in $TMPDIR before this returns (see the module
-    docstring).
+    ``fmt`` is a key of ``FORMATS``.  Every part is written to an unnamed
+    temporary file in $TMPDIR as it arrives, and the format's reader reads
+    the pieces back from it.  An error in the parts raises before this
+    returns, so before any piece exists.  The file is closed when the
+    pieces are used up, when their generator is closed, and on every error.
     """
-    stitcher = _format(fmt)[1]()
-    import tempfile  # only a stitch to a file pays for the import
+    reader = _format(fmt)[1]
+    import tempfile  # render_<fmt> does not pay for the import
 
     # tempfile would pass over a TMPDIR that does not exist; name it.
     directory = os.environ.get("TMPDIR") or tempfile.gettempdir()
-    buffer = _guarded(directory, tempfile.TemporaryFile, dir=directory)
-    return _stitch(stitcher, parts, buffer, directory)
+    spool = _text(_guarded(directory, tempfile.TemporaryFile, dir=directory))
+    try:
+        for part in parts:
+            _guarded(directory, spool.write, part)
+        _guarded(directory, spool.seek, 0)
+    except BaseException:
+        with suppress(OSError):  # a failed flush still closes the file
+            spool.close()
+        raise
+    return _read_back(reader, spool)
+
+
+def _read_back(reader, spool) -> Iterator[str]:
+    with spool:
+        yield from reader(spool)
 
 
 def _render(fmt: str, rows: Iterable[InvariantReport]) -> str:
-    # The output of one part of the rows, spooled in memory: a BytesIO keeps
+    # The output of one part of the rows, read in memory: a BytesIO keeps
     # one byte per ASCII character, where io.StringIO would keep four.
-    part, stitcher = FORMATS[fmt]
-    return "".join(_stitch(stitcher(), [part(_records(rows))], io.BytesIO()))
+    part, reader = FORMATS[fmt]
+    return "".join(reader(_text(io.BytesIO(part(_records(rows)).encode()))))

@@ -23,10 +23,9 @@ and label are computed once per pair too, so a row adds only
 pair's rows by label, applies the ``--dedup-conjugate`` and ``--positive``
 filters, and turns the (p, pair, rows) records that are left into a part.
 For ``scan_pieces`` the part is that p's output already rendered by one of
-``render.FORMATS`` into a compact part (text, and for the table its column
-widths), so a worker process sends back text; ``render.stitch`` writes
-each part to an unnamed temporary file in $TMPDIR (the spool) as it
-arrives and keeps only the table's column widths in memory.  For ``scan``
+``render.FORMATS`` into a str, so a worker process sends back text;
+``render.stitch`` writes each part to an unnamed temporary file in $TMPDIR
+(the spool) as it arrives and keeps none of it in memory.  For ``scan``
 the part is the records, and the parent builds the ``InvariantReport``s,
 so ``scan`` holds O(rows).  ``configuration_invariants`` builds the same
 report for one configuration; it is the reference the scan's rows are
@@ -35,8 +34,8 @@ pool, whose ``map`` returns them in p order, so the rows are sorted by
 (p, q, label) and the output is byte-identical regardless of how many
 workers produced it.  ``_parts`` imports the process pool, and
 multiprocessing with it, only when it starts a pool.  Once the scan
-completes, the stitcher reads the spool back in pieces of about 1 MiB at
-most, so the parent's peak memory does not grow with the output.
+completes, the format's reader reads the spool back in pieces of about
+1 MiB at most, so the parent's peak memory does not grow with the output.
 
 The environment variable SINGLAB_ROW_LIMIT (default 10_000_000) bounds the
 number of generated rows, counted before the filters.  It is checked as the
@@ -55,7 +54,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .chains import CyclicQuotient, ResolutionChain, _hj_chain
-from .errors import RowLimitExceeded, SinglabError
+from .errors import RowLimitExceeded, SinglabError, _check_ints
 from .invariants import (
     InvariantReport,
     _b2,
@@ -102,11 +101,7 @@ class SearchQuery:
     dedup_conjugate: bool = False
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, so a bool count is caught by identity.
-        for name in ("p_max", "workers", "max_contractions"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value is True or value is False:
-                raise SinglabError(f"{name} must be an integer, got {value!r}")
+        _check_ints(self, "p_max", "workers", "max_contractions")
         for name in ("positive_only", "dedup_conjugate"):
             value = getattr(self, name)
             if value is not True and value is not False:
@@ -239,10 +234,10 @@ def scan_pieces(query: SearchQuery, fmt: str) -> Iterator[str]:
     scan completes before this returns, so a row-limit abort or a failed
     check raises before any piece exists.  ``"".join`` of the pieces equals
     ``render_<fmt>(scan(query))``; each p is rendered by the unit that
-    computed it, and ``render.stitch`` spools it to an unnamed temporary
-    file in $TMPDIR as it arrives and reads the pieces, of about 1 MiB at
-    most, back from that file.  A spool that cannot be created or written
-    raises ``SinglabError``.
+    computed it into a str part, and ``render.stitch`` writes it to an
+    unnamed temporary file in $TMPDIR as it arrives, then the format's
+    reader reads the pieces, of about 1 MiB at most, back from that file.
+    A spool that cannot be created or written raises ``SinglabError``.
     """
     part = _format(fmt)[0]
     # Closing the parts shuts the pool down at once if the spool fails.

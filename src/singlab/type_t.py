@@ -17,7 +17,7 @@ from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from .chains import CyclicQuotient, ResolutionChain, _is_minimal, hj_resolve
-from .errors import InternalCheckError, NonMinimalChain, SinglabError
+from .errors import InternalCheckError, NonMinimalChain, SinglabError, _check_ints
 from .exact import cf_eval_pair
 
 __all__ = [
@@ -49,16 +49,13 @@ class TypeTParams:
     d: int
 
     def __post_init__(self) -> None:
+        # Exact ints pass at once; any other type gets the full check.
+        if not type(self.r) is type(self.s) is type(self.d) is int:
+            _check_ints(self, "r", "s", "d")
         if self.r < 2:
             raise SinglabError(f"need r >= 2, got r={self.r}")
         if self.s < 1:
             raise SinglabError(f"need s >= 1, got s={self.s}")
-        # bool is an int subclass: a bool r fails r >= 2 and False fails the
-        # checks on s and d, but True passes them, so it is caught by identity.
-        if self.s is True or self.d is True:
-            raise SinglabError(
-                f"s and d must be integers, not bools, got (s, d) = ({self.s}, {self.d})"
-            )
         object.__setattr__(self, "d", self.d % self.r)
         if self.d == 0 or gcd(self.r, self.d) != 1:
             raise SinglabError(

@@ -43,6 +43,9 @@ def test_quotient_validation():
         CyclicQuotient(3, True)  # bool is an int subclass, not an order
     with pytest.raises(SinglabError):
         CyclicQuotient(True, 1)
+    for typed in ((10.0, 3), (7, 3.0), ("7", 3)):
+        with pytest.raises(SinglabError, match="must be an integer"):
+            CyclicQuotient(*typed)
     g = CyclicQuotient(5, 2)
     assert (g.p, g.q) == (5, 2)
     assert g.q_inverse() == 3

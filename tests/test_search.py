@@ -464,7 +464,7 @@ def test_scan_runs_the_dedekind_sum_once_per_pair(monkeypatch):
 
 # The report-based renderers that the record-based part renderers replaced,
 # kept as their reference: csv.writer, json.dumps and the table cells of
-# each report, then the library's stitchers.
+# each report, with the header, the brackets and the padding written here.
 def _chain_cell(chain):
     return "(" + ",".join(str(e) for e in chain) + ")"
 
@@ -478,7 +478,9 @@ def _rational_obj(x):
 
 
 def _reference_render_json(rows):
-    part = ",\n".join(
+    if not rows:
+        return "[]\n"
+    objects = ",\n".join(
         json.dumps(
             {
                 "p": row.p,
@@ -496,12 +498,16 @@ def _reference_render_json(rows):
         )
         for row in rows
     )
-    return "".join(stitch("json", [part]))
+    return "[\n" + objects + "\n]\n"
 
 
 def _reference_render_csv(rows):
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["p", "q", "chain", "k", "sum_e", "q_inv", "eta", "b2", "c", "positive", "label"]
+    )
+    writer.writerows(
         [
             row.p,
             row.q,
@@ -517,11 +523,15 @@ def _reference_render_csv(rows):
         ]
         for row in rows
     )
-    return "".join(stitch("csv", [buf.getvalue()]))
+    return buf.getvalue()
 
 
 def _reference_render_table(rows):
-    records = [
+    # Every column is as wide as its widest cell, the header's included;
+    # chain and label are left-aligned, the rest right-aligned, the columns
+    # are two spaces apart and no line has trailing spaces.
+    records = [("p", "q", "chain", "k", "sum_e", "q_inv", "eta", "b2", "C", "label")]
+    records += [
         (
             str(row.p),
             str(row.q),
@@ -536,9 +546,15 @@ def _reference_render_table(rows):
         )
         for row in rows
     ]
-    widths = tuple(max(map(len, column)) for column in zip(*records))
-    part = (widths or (0,) * 10, "\n".join(map("\t".join, records)))
-    return "".join(stitch("table", [part]))
+    widths = [max(map(len, column)) for column in zip(*records)]
+    return "".join(
+        "  ".join(
+            cell.ljust(width) if column in (2, 9) else cell.rjust(width)
+            for column, (cell, width) in enumerate(zip(record, widths))
+        ).rstrip()
+        + "\n"
+        for record in records
+    )
 
 
 REFERENCE_RENDER = {
@@ -604,21 +620,39 @@ RENDERERS = {"table": render_table, "json": render_json, "csv": render_csv}
 
 def test_pieces_are_bounded_and_spooled_equal_to_memory(monkeypatch):
     # Every piece is at most render._PIECE characters, whichever way the
-    # parts are cut, and the spooled stitch equals render_<fmt>, which
-    # stitches in memory.
+    # parts are cut, and the spooled stitch and render_<fmt>, which reads
+    # its one part in memory, equal the reference.  The parts are cut every
+    # 50 rows, and at every row with an empty part at both ends and between
+    # each two.  At this _PIECE the table's width pass reads blocks that end
+    # mid-line, and the second table's widest chain and label are on its
+    # last line.
     monkeypatch.setattr(render, "_PIECE", 4096)
     query = SearchQuery(p_max=40, mode="single-contraction")
     rows = scan(query)
+    spooled = render.table_part(_records(rows))
+    assert any(spooled[i - 1] != "\n" for i in range(4096, len(spooled), 4096))
+    g = chains.chain_to_quotient((2,) * 100 + (4,))
+    wide = configuration_invariants(configuration(g, [(100, 100)]))
+    assert len(wide.chain) > max(len(row.chain) for row in rows)
+    assert len(wide.label) > max(len(row.label) for row in rows)
     for fmt, (part, _) in FORMATS.items():
         expected = RENDERERS[fmt](rows)
         pieces = list(scan_pieces(query, fmt))
         assert "".join(pieces) == expected
         assert len(pieces) > 10
         assert max(map(len, pieces)) <= 4096
-        parts = [part(_records(rows[i : i + 50])) for i in range(0, len(rows), 50)]
-        pieces = list(stitch(fmt, parts))
-        assert "".join(pieces) == expected
-        assert max(map(len, pieces)) <= 4096
+        reference, render_fmt = REFERENCE_RENDER[fmt]
+        for table in (rows, rows + [wide]):
+            expected = reference(table)
+            assert render_fmt(table) == expected
+            by_50 = [part(_records(table[i : i + 50])) for i in range(0, len(table), 50)]
+            by_row = [part([])]
+            for row in table:
+                by_row += [part(_records([row])), part([])]
+            for parts in (by_50, by_row):
+                pieces = list(stitch(fmt, parts))
+                assert "".join(pieces) == expected
+                assert max(map(len, pieces)) <= 4096
 
 
 def _open_fds():

@@ -54,6 +54,9 @@ def test_params_validation_and_canonicalization():
     for flagged in ((2, True, 1), (3, 1, True), (True, 1, 1)):
         with pytest.raises(SinglabError):
             TypeTParams(*flagged)  # bool is an int subclass, not a parameter
+    for typed in ((3.0, 1, 1), (3, 1.0, 1), (3, 1, 1.0)):
+        with pytest.raises(SinglabError, match="must be an integer"):
+            TypeTParams(*typed)
     assert TypeTParams(3, 1, 4) == TypeTParams(3, 1, 1)
     assert TypeTParams(3, 1, 5).d == 2
     assert TypeTParams(3, 2, 1).group_order == 18
