@@ -29,7 +29,7 @@ from .errors import (
     SinglabError,
     _check_ints,
 )
-from .exact import cf_eval, mod_inverse
+from .exact import cf_eval
 
 __all__ = [
     "CyclicQuotient",
@@ -70,10 +70,6 @@ class CyclicQuotient:
                 f"(p, q) = ({self.p}, {self.q}) is not coprime; the action is not free"
             )
 
-    def q_inverse(self) -> int:
-        """q^(-1) mod p, in [1, p-1]."""
-        return mod_inverse(self.q, self.p)
-
 
 def _is_minimal(chain: Sequence[int]) -> bool:
     # No (-1)-curve: every entry is >= 2.  True of the empty chain; False
@@ -102,10 +98,6 @@ class ResolutionChain(tuple):
         """True iff the chain contains no (-1)-curve."""
         return _is_minimal(self)
 
-    @property
-    def sum_e(self) -> int:
-        return sum(self)
-
     def __repr__(self) -> str:
         return f"ResolutionChain{tuple.__repr__(self)}"
 
@@ -113,6 +105,19 @@ class ResolutionChain(tuple):
         # Every entry was checked when the chain was built, so unpickling
         # (a scan worker's records, say) restores it without a second check.
         return tuple.__new__, (ResolutionChain, tuple(self))
+
+
+def _check_minimal(chain: Sequence[int], what: str) -> None:
+    # The one minimal-chain check of the functions that need one.  A
+    # ResolutionChain's entries were checked when it was built; any other
+    # sequence must hold only ints (InvalidChain), so a float or str entry
+    # never reaches the arithmetic.  A bool is an int here and fails below.
+    if not isinstance(chain, ResolutionChain):
+        for e in chain:
+            if not isinstance(e, int):
+                raise InvalidChain(f"chain entries must be integers, got {e!r}")
+    if not _is_minimal(chain):
+        raise NonMinimalChain(f"{what} needs a minimal chain, got {tuple(chain)}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +183,7 @@ def _hj_chain(p: int, q: int) -> ResolutionChain:
     return tuple.__new__(ResolutionChain, entries)
 
 
-def chain_to_quotient(chain: ResolutionChain) -> CyclicQuotient:
+def chain_to_quotient(chain: Sequence[int]) -> CyclicQuotient:
     """The group (p, q) with q/p = cf_eval(chain); left inverse of hj_resolve.
 
     Requires a minimal chain: with a 1-entry the bracket value can leave
@@ -186,10 +191,7 @@ def chain_to_quotient(chain: ResolutionChain) -> CyclicQuotient:
     """
     if len(chain) == 0:
         raise NonMinimalChain("cannot recover a group from an empty chain")
-    if not _is_minimal(chain):
-        raise NonMinimalChain(
-            f"chain {tuple(chain)} has a (-1)-curve; blow down before converting"
-        )
+    _check_minimal(chain, "chain_to_quotient")
     value = cf_eval(chain)
     return CyclicQuotient(value.denominator, value.numerator)
 

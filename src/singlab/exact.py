@@ -68,7 +68,7 @@ def cf_eval(chain: Sequence[int]) -> Fraction:
     return Fraction(num, den)
 
 
-def decimal_str(value: Fraction | int | float, significant: int = 15) -> str:
-    """Render a rational as a decimal string with the given significant digits."""
-    return f"{float(value):.{significant}g}"
+def decimal_str(value: Fraction | int | float) -> str:
+    """Render a rational as a decimal string with 15 significant digits."""
+    return f"{float(value):.15g}"
 

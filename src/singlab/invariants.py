@@ -26,6 +26,10 @@ many configurations computes those once.  ``configuration_invariants``
 turns one configuration into an ``InvariantReport``; it is the route for
 point queries and the CLI's point commands, and the reference for a scan,
 which builds its rows from pair records and hits (:mod:`singlab.search`).
+
+The attachment families with C > 0 are listed once, as the keys (m, s) of
+``_FAMILY_GRAPHS``; ``theorem_tables`` and ``family_minimal_graph`` read
+that list, and ``attach_family`` covers every m, s and d.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import NamedTuple, Sequence
 from .chains import (
     CyclicQuotient,
     ResolutionChain,
-    _is_minimal,
+    _check_minimal,
     chain_to_quotient,
     hj_resolve,
 )
@@ -46,7 +50,6 @@ from .errors import (
     InternalCheckError,
     InvalidConfiguration,
     MismatchError,
-    NonMinimalChain,
     SinglabError,
     UnsupportedFamily,
 )
@@ -112,14 +115,6 @@ class ResolutionConfiguration:
     quotient: CyclicQuotient
     chain: ResolutionChain
     contracted: tuple[ContractedInterval, ...]
-
-    @property
-    def b2(self) -> int:
-        """Second Betti number of the smoothing."""
-        return _b2(len(self.chain), [_hit(iv) for iv in self.contracted])
-
-    def label(self) -> str:
-        return _label([_hit(iv) for iv in self.contracted])
 
 
 @dataclass(frozen=True)
@@ -253,10 +248,7 @@ def find_type_t_substrings(chain: Sequence[int]) -> list[ContractedInterval]:
     else InternalCheckError is raised.  That costs O(length) per hit, so
     the sweep stays output-sensitive.
     """
-    if not _is_minimal(chain):
-        raise NonMinimalChain(
-            f"the type-T sweep needs a minimal chain, got {tuple(chain)}"
-        )
+    _check_minimal(chain, "find_type_t_substrings")
     k = len(chain)
     found = []
     walks = []  # (a, b, vL, vR, r, s, d)
@@ -297,6 +289,11 @@ def find_type_t_substrings(chain: Sequence[int]) -> list[ContractedInterval]:
     return found
 
 
+def _contracted_report(chain: Sequence[int], a: int, b: int) -> InvariantReport:
+    # The report of the group of a minimal chain with chain[a..b] contracted.
+    return configuration_invariants(configuration(chain_to_quotient(chain), [(a, b)]))
+
+
 @dataclass(frozen=True)
 class FamilyClosedForm:
     """Closed-form record for the m-curve attachment family."""
@@ -331,17 +328,15 @@ def attach_family(
     C with the type-T substring contracted, b2 = s - 1 + m) and evaluates
     the closed forms for p, q^(-1;p), eta and C; the two must be equal and a
     disagreement raises MismatchError.  Any m >= 1 is accepted; since
-    C = (4 - m d^2 s)/p, C > 0 exactly when m d^2 s < 4.
+    C = (4 - m d^2 s)/p, C > 0 exactly when m d^2 s < 4, that is, d = 1 and
+    (m, s) a key of ``_FAMILY_GRAPHS``, the one list of these families.
     """
     if m < 1:
         raise SinglabError(f"the attachment family needs m >= 1, got {m}")
     if r < 2 or s < 1 or not 1 <= d <= r - 1 or gcd(r, d) != 1:
         raise SinglabError(f"invalid family parameters (r, s, d) = ({r}, {s}, {d})")
     t_chain = type_t_string(TypeTParams(r, s, r - d))
-    chain = ResolutionChain((2,) * m + tuple(t_chain))
-    g = chain_to_quotient(chain)
-    cfg = configuration(g, [(m, m + len(t_chain) - 1)])
-    report = configuration_invariants(cfg)
+    report = _contracted_report((2,) * m + t_chain, m, m + len(t_chain) - 1)
     closed = _family_closed_form(m, r, s, d)
     if (report.p, report.q, report.q_inv, report.eta, report.c_value) != (
         closed.p,
@@ -358,7 +353,9 @@ def attach_family(
 
 
 _FAMILY_GRAPHS = {
-    # (m, s) -> minimal-resolution graph as a function of r
+    # (m, s) -> minimal-resolution graph of m (-2)-curves left of the
+    # T(r,s,r-1) string, as a function of r.  The keys are exactly the
+    # (m, s) with m*s < 4: the attachment families with C > 0.
     (1, 1): lambda r: (2,) * (r - 1) + (r + 2,),
     (1, 2): lambda r: (2,) * (r - 1) + (3, r + 1),
     (1, 3): lambda r: (2,) * (r - 1) + (3, 2, r + 1),
@@ -381,17 +378,6 @@ def family_minimal_graph(m: int, r: int, s: int) -> ResolutionChain:
     return ResolutionChain(_FAMILY_GRAPHS[key](r))
 
 
-def _right_attached_report(m: int, r: int, s: int) -> InvariantReport:
-    # The reversal-conjugate presentation: T(r,s,1) string with m (-2)-curves
-    # appended on the right.  This realizes the group presentations
-    # 1/(r^2+r+1)(1,r) and friends directly.
-    t_chain = type_t_string(TypeTParams(r, s, 1))
-    chain = ResolutionChain(tuple(t_chain) + (2,) * m)
-    g = chain_to_quotient(chain)
-    cfg = configuration(g, [(0, len(t_chain) - 1)])
-    return configuration_invariants(cfg)
-
-
 def theorem_tables(r_max: int = 20) -> list[InvariantReport]:
     """Invariant rows for the named group families.
 
@@ -399,7 +385,8 @@ def theorem_tables(r_max: int = 20) -> list[InvariantReport]:
     component (1/3(1,1), 1/5(1,2), 1/7(1,3)) as Artin rows, then the five
     infinite non-Artin families 1/(r^2+r+1)(1,r), 1/(r^2+2r+2)(1,r+1),
     1/(2r^2+2r+1)(1,2r+1), 1/(r^2+3r+3)(1,r+2), 1/(3r^2+3r+1)(1,3r+2) for
-    r in [2, r_max].  Every row has positive C.
+    r in [2, r_max], one per key (m, s) of ``_FAMILY_GRAPHS``, each row
+    with its T(r,s,1) string contracted.  Every row has positive C.
     """
     if r_max < 2:
         raise SinglabError(f"need r_max >= 2, got {r_max}")
@@ -407,8 +394,11 @@ def theorem_tables(r_max: int = 20) -> list[InvariantReport]:
         configuration_invariants(artin_configuration(CyclicQuotient(p, q)))
         for p, q in ((3, 1), (5, 2), (7, 3))
     ]
-    for m, s in ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3)):
+    for (m, s), graph in _FAMILY_GRAPHS.items():
         for r in range(2, r_max + 1):
-            rows.append(_right_attached_report(m, r, s))
+            # The reversal-conjugate presentation: the T(r,s,1) string with
+            # m (-2)-curves on its right, which gives the groups above.
+            chain = graph(r)[::-1]
+            rows.append(_contracted_report(chain, 0, len(chain) - 1 - m))
     rows.sort(key=lambda row: (row.p, row.q, row.label))
     return rows

@@ -16,8 +16,8 @@ from itertools import islice
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .chains import CyclicQuotient, ResolutionChain, _is_minimal, hj_resolve
-from .errors import InternalCheckError, NonMinimalChain, SinglabError, _check_ints
+from .chains import CyclicQuotient, ResolutionChain, _check_minimal, hj_resolve
+from .errors import InternalCheckError, SinglabError, _check_ints
 from .exact import cf_eval_pair
 
 __all__ = [
@@ -93,12 +93,16 @@ def seed_chain(s: int) -> ResolutionChain:
 def grow_left(chain: Sequence[int]) -> ResolutionChain:
     """(e_1, ..., e_k) -> (2, e_1, ..., e_{k-1}, e_k + 1)."""
     c = tuple(chain)
+    if not c:
+        raise SinglabError("cannot grow an empty chain")
     return ResolutionChain((2,) + c[:-1] + (c[-1] + 1,))
 
 
 def grow_right(chain: Sequence[int]) -> ResolutionChain:
     """(e_1, ..., e_k) -> (e_1 + 1, e_2, ..., e_k, 2)."""
     c = tuple(chain)
+    if not c:
+        raise SinglabError("cannot grow an empty chain")
     return ResolutionChain((c[0] + 1,) + c[1:] + (2,))
 
 
@@ -191,10 +195,7 @@ def recognize_type_t(chain: Sequence[int]) -> Optional[TypeTParams]:
     """
     if len(chain) == 0:
         return None
-    if not _is_minimal(chain):
-        raise NonMinimalChain(
-            f"type-T recognition needs a minimal chain, got {tuple(chain)}"
-        )
+    _check_minimal(chain, "recognize_type_t")
     q, p = cf_eval_pair(chain)
     params = _params_of_pair(q, p, 2 + 3 * len(chain) - sum(chain))
     seed_s = _peel_to_seed(chain)

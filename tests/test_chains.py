@@ -48,7 +48,7 @@ def test_quotient_validation():
             CyclicQuotient(*typed)
     g = CyclicQuotient(5, 2)
     assert (g.p, g.q) == (5, 2)
-    assert g.q_inverse() == 3
+    assert mod_inverse(g.q, g.p) == 3
 
 
 def test_chain_validation():
@@ -61,7 +61,6 @@ def test_chain_validation():
     assert ResolutionChain((3, 2)) == (3, 2)
     assert ResolutionChain((1, 4)).is_minimal is False
     assert ResolutionChain((3, 2)).is_minimal is True
-    assert ResolutionChain((3, 2)).sum_e == 5
 
 
 def test_minimal_predicate_is_every_entry_at_least_2():
@@ -158,6 +157,10 @@ def test_chain_to_quotient_rejects_non_minimal():
         chain_to_quotient(ResolutionChain((1, 4)))
     with pytest.raises(NonMinimalChain):
         chain_to_quotient(ResolutionChain(()))
+    # a float or str entry of a plain sequence is not a chain entry
+    for chain in ((2.5,), (3, 4.0), ("4",)):
+        with pytest.raises(InvalidChain):
+            chain_to_quotient(chain)
 
 
 def test_round_trip():

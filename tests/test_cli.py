@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shutil
@@ -254,6 +255,17 @@ def test_search_worker_determinism(capsys):
 
 def test_no_command(capsys):
     assert main([]) == 2
+
+
+def test_console_script_mapping():
+    # What an install would put on PATH, checked without installing: the
+    # one console script resolves to cli.main.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"singlab": "singlab.cli:main"}
+    module, _, name = scripts["singlab"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 @pytest.mark.skipif(shutil.which("singlab") is None, reason="entry point not installed")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from hypothesis import assume, given, strategies as st
 
@@ -15,6 +16,7 @@ from singlab import (
     type_t_group,
     type_t_invariants,
 )
+from singlab.eta import _eta_num
 
 
 def test_eta_exact_examples():
@@ -112,3 +114,25 @@ def test_eta_exact_on_the_longest_chain():
     # 3p*eta = 2p(p-1) + 2(p-1) - 3p(p-1) = -(p-1)(p-2)
     p = 10**12 + 39
     assert eta_exact(CyclicQuotient(p, p - 1)) == -Fraction((p - 1) * (p - 2), 3 * p)
+
+
+def _sawtooth_sum(p, q):
+    # S = sum_{i=1}^{p-1} (2i - p)(2(qi mod p) - p) = 4 p^2 s(q, p), from the
+    # sawtooth definition s(q, p) = sum_i ((i/p)) ((qi/p)) with
+    # ((x)) = x - floor(x) - 1/2, in integers.  Since sum_i (2i - p) = 0,
+    # S = 2 sum_i (2i - p)(qi mod p); p.__rmod__(q*i) is qi mod p.
+    residues = map(p.__rmod__, range(q, q * p, q))
+    return 2 * sum(map(mul, range(2 - p, p - 1, 2), residues))
+
+
+def test_eta_num_matches_the_sawtooth_dedekind_sum():
+    # A third route with no floats and no reciprocity law: eta = 4 s(q, p),
+    # so 3p*eta = 3S/p.  Every coprime pair with p <= 200, then four q at
+    # two primes near 10^6.
+    for p in range(2, 201):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                assert _eta_num(p, q) * p == 3 * _sawtooth_sum(p, q)
+    for p in (1_000_003, 999_983):
+        for q in (1, p - 1, p // 2, 314_159):
+            assert _eta_num(p, q) * p == 3 * _sawtooth_sum(p, q)

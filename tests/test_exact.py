@@ -100,4 +100,3 @@ def test_decimal_str():
     assert decimal_str(Fraction(16, 27)) == "0.592592592592593"
     assert decimal_str(Fraction(0, 1)) == "0"
     assert decimal_str(Fraction(-4, 13)) == "-0.307692307692308"
-    assert decimal_str(Fraction(1, 2), significant=3) == "0.5"

@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 from singlab import (
     CyclicQuotient,
     InternalCheckError,
+    InvalidChain,
     InvalidConfiguration,
     NonMinimalChain,
     ResolutionChain,
@@ -59,7 +60,7 @@ def test_full_contraction_example():
 def test_configuration_b2_bookkeeping():
     # contracting T(r,s,d) of length L trades L curves for s-1 classes
     cfg = configuration(CyclicQuotient(8, 3), [(0, 1)])  # (3,3) = T(2,2,1)
-    assert cfg.b2 == 2 - 2 + 1 == 1
+    assert configuration_invariants(cfg).b2 == 2 - 2 + 1 == 1
     report = configuration_invariants(cfg)
     assert report.c_value == Fraction(4, 8)
 
@@ -144,6 +145,10 @@ def test_find_type_t_substrings_needs_minimal_chain():
         find_type_t_substrings((2, 6, 3, 1, 2))
     with pytest.raises(NonMinimalChain):
         find_type_t_substrings((3, 0))
+    # (4.0, 2) is not a chain at all, so it has no T(2,1,1) hit
+    for chain in ((4.0, 2), (3, 3.0), ("4",)):
+        with pytest.raises(InvalidChain):
+            find_type_t_substrings(chain)
 
 
 def _sweep_by_recognition(chain):
@@ -310,6 +315,9 @@ def test_attach_family_closed_forms_grid():
 def test_attach_family_positive_exactly_for_the_five_families():
     # C = (4 - m d^2 s)/p, so C > 0 exactly when m d^2 s < 4
     positive = {(1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 1, 1), (3, 1, 1)}
+    # theorem_tables lists the families of _FAMILY_GRAPHS, so its rows are
+    # exactly these
+    assert positive == {(m, s, 1) for m, s in invariants._FAMILY_GRAPHS}
     for m in range(1, 9):
         for r in range(2, 14):
             for s in range(1, 6):

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from singlab import (
     CyclicQuotient,
     InternalCheckError,
+    InvalidChain,
     NonMinimalChain,
     ResolutionChain,
     SinglabError,
@@ -90,6 +91,9 @@ def test_grow_moves():
     assert grow_right((4,)) == (5, 2)
     assert grow_left((2, 5)) == (2, 2, 6)
     assert grow_right((2, 5)) == (3, 5, 2)
+    for grow in (grow_left, grow_right):
+        with pytest.raises(SinglabError, match="empty chain"):
+            grow(())
 
 
 def test_strings_reachable_within_r_minus_2_moves():
@@ -208,6 +212,9 @@ def test_configuration_on_a_long_type_t_chain():
 def test_recognize_rejects_non_minimal():
     with pytest.raises(NonMinimalChain):
         recognize_type_t(ResolutionChain((1, 4)))
+    for chain in ((4.0,), (3, 3.0), ("4",), (3, None)):
+        with pytest.raises(InvalidChain, match="must be integers"):
+            recognize_type_t(chain)
 
 
 def test_recognizers_agree_on_small_sweep():
