@@ -27,7 +27,7 @@ from .errors import (
     NonMinimalChain,
     NotMinusOneCurve,
     SinglabError,
-    _check_ints,
+    _check_int,
 )
 from .exact import cf_eval
 
@@ -58,11 +58,11 @@ class CyclicQuotient:
     q: int
 
     def __post_init__(self) -> None:
-        # Exact ints pass at once; any other type gets the full check.
-        if not type(self.p) is type(self.q) is int:
-            _check_ints(self, "p", "q")
-        if self.p < 2:
-            raise SinglabError(f"group order must be at least 2, got p={self.p}")
+        # Exact ints with p >= 2 pass at once; anything else gets the full
+        # check.
+        if not type(self.p) is type(self.q) is int or self.p < 2:
+            _check_int("p", self.p, 2)
+            _check_int("q", self.q)
         if not 1 <= self.q < self.p:
             raise SinglabError(f"need 1 <= q < p, got (p, q) = ({self.p}, {self.q})")
         if gcd(self.p, self.q) != 1:
@@ -210,41 +210,43 @@ def blow_up(chain: ResolutionChain, site: BlowUpSite) -> ResolutionChain:
     OnCurve increments e_i and inserts a new 1 outward of the end curve i;
     AtNode increments both e_i and e_{i+1} and inserts the 1 between them.
     """
+    if not isinstance(site, (OnCurve, AtNode)):
+        raise SinglabError(f"unknown blow-up site {site!r}")
     k = len(chain)
     entries = list(chain)
-    if isinstance(site, OnCurve):
-        if not 0 <= site.index < k:
-            raise IndexOutOfRange(f"curve index {site.index} not in chain of length {k}")
-        if site.side == "left":
-            if site.index != 0:
-                raise InvalidSite(
-                    "a free-point blow-up keeps the graph linear only at a chain end; "
-                    f"curve {site.index} has a left neighbour"
-                )
-            return ResolutionChain([1, entries[0] + 1] + entries[1:])
-        if site.index != k - 1:
-            raise InvalidSite(
-                "a free-point blow-up keeps the graph linear only at a chain end; "
-                f"curve {site.index} has a right neighbour"
-            )
-        return ResolutionChain(entries[:-1] + [entries[-1] + 1, 1])
+    i = site.index
+    _check_int("index", i, 0, IndexOutOfRange)
     if isinstance(site, AtNode):
-        if not 0 <= site.index < k - 1:
+        if i >= k - 1:
             raise IndexOutOfRange(
-                f"node index {site.index} not in chain of length {k} (needs two curves)"
+                f"node index {i} not in chain of length {k} (needs two curves)"
             )
-        i = site.index
         return ResolutionChain(
             entries[:i] + [entries[i] + 1, 1, entries[i + 1] + 1] + entries[i + 2:]
         )
-    raise SinglabError(f"unknown blow-up site {site!r}")
+    if i >= k:
+        raise IndexOutOfRange(f"curve index {i} not in chain of length {k}")
+    if site.side == "left":
+        if i != 0:
+            raise InvalidSite(
+                "a free-point blow-up keeps the graph linear only at a chain end; "
+                f"curve {i} has a left neighbour"
+            )
+        return ResolutionChain([1, entries[0] + 1] + entries[1:])
+    if i != k - 1:
+        raise InvalidSite(
+            "a free-point blow-up keeps the graph linear only at a chain end; "
+            f"curve {i} has a right neighbour"
+        )
+    return ResolutionChain(entries[:-1] + [entries[-1] + 1, 1])
 
 
 def blow_down(chain: ResolutionChain, index: int) -> ResolutionChain:
     """Contract the (-1)-curve at ``index``; each existing neighbour's
     self-intersection rises by one (entry decrements)."""
     k = len(chain)
-    if not 0 <= index < k:
+    _check_int("index", index, 0, IndexOutOfRange)
+    if index >= k:
         raise IndexOutOfRange(f"index {index} not in chain of length {k}")
     if chain[index] != 1:
         raise NotMinusOneCurve(
@@ -266,6 +268,5 @@ def non_minimal_graph(n: int) -> ResolutionChain:
     first a free point of the (-n)-curve, then repeatedly a free point of
     the fresh (-1)-curve.
     """
-    if n < 3:
-        raise InvalidN(f"need n >= 3, got {n}")
+    _check_int("n", n, 3, InvalidN)
     return ResolutionChain((1,) + (2,) * (n - 3) + (n + 1,))

@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 2 on invalid arguments, 3 when the scan row-limit
 resource guard aborts, and 1, with nothing on stderr, when the reader closes
 stdout before the output is written (``singlab search ... | head -1``).  All
-flags are long-form.
+flags are long-form.  Every ``search`` flag but ``--format`` is a field of
+``SearchQuery``, and a flag left out takes that field's default.
 """
 
 from __future__ import annotations
@@ -78,13 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--theorems", action="store_true", required=True)
     p_tables.add_argument("--r-max", type=int, default=20)
 
-    p_search = sub.add_parser("search", help="exhaustive scan over (p, q)")
+    # A search flag left out is not in the namespace, so SearchQuery's
+    # default applies; --format is the one flag that is not a field.
+    p_search = sub.add_parser(
+        "search", help="exhaustive scan over (p, q)", argument_default=argparse.SUPPRESS
+    )
     p_search.add_argument("--p-max", type=int, required=True)
-    p_search.add_argument("--mode", choices=MODES, default="artin-only")
-    p_search.add_argument("--positive", action="store_true")
+    p_search.add_argument("--mode", choices=MODES)
+    p_search.add_argument("--positive", action="store_true", dest="positive_only")
     p_search.add_argument("--format", choices=tuple(FORMATS), default="table")
-    p_search.add_argument("--workers", type=int, default=1)
-    p_search.add_argument("--max-contractions", type=int, default=3)
+    p_search.add_argument("--workers", type=int)
+    p_search.add_argument("--max-contractions", type=int)
     p_search.add_argument("--dedup-conjugate", action="store_true")
 
     return parser
@@ -139,14 +144,8 @@ def _run(args: argparse.Namespace, out) -> int:
     elif args.command == "tables":
         out.write(render_table(theorem_tables(args.r_max)))
     elif args.command == "search":
-        query = SearchQuery(
-            p_max=args.p_max,
-            mode=args.mode,
-            positive_only=args.positive,
-            workers=args.workers,
-            max_contractions=args.max_contractions,
-            dedup_conjugate=args.dedup_conjugate,
-        )
+        fields = {k: v for k, v in vars(args).items() if k not in ("command", "format")}
+        query = SearchQuery(**fields)
         # The pieces are at most about 1 MiB each, and out's buffer joins
         # the small ones.
         out.writelines(scan_pieces(query, args.format))

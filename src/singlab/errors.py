@@ -3,8 +3,10 @@
 ``SinglabError`` covers every failure caused by invalid input or an invalid
 requested operation; the CLI maps it to exit code 2.  ``RowLimitExceeded`` is
 the resource guard (exit code 3) and ``InternalCheckError`` signals a broken
-internal cross-check, which is a bug, never a user error.  ``_check_ints``
-is the one integer-field check of the library's value types.
+internal cross-check, which is a bug, never a user error.  ``_check_int``
+is the one integer-argument check of the library: the type of an integer
+field or argument and its lower bound, raised as the error class of the
+caller.
 """
 
 __all__ = [
@@ -29,13 +31,13 @@ class SinglabError(ValueError):
     """Base class for all input/contract violations raised by singlab."""
 
 
-def _check_ints(obj, *names: str) -> None:
-    # Each named field of obj is an int; bool is an int subclass, so a bool
-    # is caught by identity.
-    for name in names:
-        value = getattr(obj, name)
-        if not isinstance(value, int) or value is True or value is False:
-            raise SinglabError(f"{name} must be an integer, got {value!r}")
+def _check_int(name: str, value, least: int | None = None, error=SinglabError) -> None:
+    # value must be an int but not a bool (an int subclass, caught by
+    # identity), and not below least; a failure raises error.
+    if not isinstance(value, int) or value is True or value is False:
+        raise error(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"need {name} >= {least}, got {value}")
 
 
 class NotInvertible(SinglabError):

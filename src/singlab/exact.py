@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DivisionByZero, NotInvertible
+from .errors import DivisionByZero, InvalidChain, NotInvertible
 
 __all__ = ["mod_inverse", "cf_eval", "cf_eval_pair", "decimal_str"]
 
@@ -45,6 +45,8 @@ def cf_eval_pair(chain: Sequence[int]) -> tuple[int, int]:
     The running pair stays coprime at every step (gcd(den, e*den - num) =
     gcd(den, num)), so no reduction pass is needed.  The denominator sign is
     not normalized here; use :func:`cf_eval` for a canonical Fraction.
+    An entry that is not an int gives a value that is not a pair of ints,
+    which raises InvalidChain.
     """
     if not chain:
         raise DivisionByZero("cannot evaluate an empty chain")
@@ -55,6 +57,10 @@ def cf_eval_pair(chain: Sequence[int]) -> tuple[int, int]:
             raise DivisionByZero(
                 f"nested denominator vanished while evaluating {tuple(chain)}"
             )
+    # One type check per call, not one per entry: a float or Fraction entry
+    # makes den, and every num after it, of its type.
+    if not type(num) is type(den) is int:
+        raise InvalidChain(f"chain entries must be integers, got {tuple(chain)}")
     return num, den
 
 

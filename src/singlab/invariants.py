@@ -52,6 +52,7 @@ from .errors import (
     MismatchError,
     SinglabError,
     UnsupportedFamily,
+    _check_int,
 )
 from .eta import _eta_num
 from .exact import cf_eval_pair, mod_inverse
@@ -331,9 +332,9 @@ def attach_family(
     C = (4 - m d^2 s)/p, C > 0 exactly when m d^2 s < 4, that is, d = 1 and
     (m, s) a key of ``_FAMILY_GRAPHS``, the one list of these families.
     """
-    if m < 1:
-        raise SinglabError(f"the attachment family needs m >= 1, got {m}")
-    if r < 2 or s < 1 or not 1 <= d <= r - 1 or gcd(r, d) != 1:
+    for name, value, least in (("m", m, 1), ("r", r, 2), ("s", s, 1), ("d", d, 1)):
+        _check_int(name, value, least)
+    if d > r - 1 or gcd(r, d) != 1:
         raise SinglabError(f"invalid family parameters (r, s, d) = ({r}, {s}, {d})")
     t_chain = type_t_string(TypeTParams(r, s, r - d))
     report = _contracted_report((2,) * m + t_chain, m, m + len(t_chain) - 1)
@@ -370,12 +371,12 @@ def family_minimal_graph(m: int, r: int, s: int) -> ResolutionChain:
     Published for (m, s) in {(1,1), (1,2), (1,3), (2,1), (3,1)} with r >= 2;
     anything else raises UnsupportedFamily.
     """
-    key = (m, s)
-    if key not in _FAMILY_GRAPHS or r < 2:
+    _check_int("r", r, 2, UnsupportedFamily)
+    if (m, s) not in _FAMILY_GRAPHS:
         raise UnsupportedFamily(
             f"no minimal-resolution graph for (m, r, s) = ({m}, {r}, {s})"
         )
-    return ResolutionChain(_FAMILY_GRAPHS[key](r))
+    return ResolutionChain(_FAMILY_GRAPHS[m, s](r))
 
 
 def theorem_tables(r_max: int = 20) -> list[InvariantReport]:
@@ -388,8 +389,7 @@ def theorem_tables(r_max: int = 20) -> list[InvariantReport]:
     r in [2, r_max], one per key (m, s) of ``_FAMILY_GRAPHS``, each row
     with its T(r,s,1) string contracted.  Every row has positive C.
     """
-    if r_max < 2:
-        raise SinglabError(f"need r_max >= 2, got {r_max}")
+    _check_int("r_max", r_max, 2)
     rows = [
         configuration_invariants(artin_configuration(CyclicQuotient(p, q)))
         for p, q in ((3, 1), (5, 2), (7, 3))

@@ -5,10 +5,11 @@ Artin report plus, depending on the mode, one report per contracted type-T
 substring of the chain (``single-contraction``) or per disjoint set of such
 substrings up to a size cap (``multi-contraction``).
 
-Each p is one unit of work.  A unit resolves each pair's chain once and
-builds every contracted row from that chain and a disjoint subset of the
-hits of ``find_type_t_substrings``, which checked each hit against its
-continued fraction; a row is not re-resolved or re-recognised.
+Each p is one unit of work, ``_p_part``, which makes one pass over q.  It
+resolves each pair's chain once and builds every contracted row from that
+chain and a disjoint subset of the hits of ``find_type_t_substrings``,
+which checked each hit against its continued fraction; a row is not
+re-resolved or re-recognised.
 ``scan_pieces``, the path of ``singlab search``, resolves the chain from
 the integers (p, q).  ``scan`` reads it from
 ``artin_configuration(CyclicQuotient(p, q))``, so that its calls nest as a
@@ -20,8 +21,10 @@ eta, so the unit computes them once per pair, as a pair record
 against the Dedekind-sum eta there, once per pair.  Each hit's b2 change
 and label are computed once per pair too, so a row adds only
 (b2, c_num, label), and no report is built per row.  The unit sorts each
-pair's rows by label, applies the ``--dedup-conjugate`` and ``--positive``
-filters, and turns the (p, pair, rows) records that are left into a part.
+pair's rows by label, so the order in which the subsets are found does not
+matter; it counts the rows generated, applies the ``--dedup-conjugate`` and
+``--positive`` filters, and turns the (p, pair, rows) records that are left
+into a part.
 For ``scan_pieces`` the part is that p's output already rendered by one of
 ``render.FORMATS`` into a str, so a worker process sends back text;
 ``render.stitch`` writes each part to an unnamed temporary file in $TMPDIR
@@ -54,7 +57,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .chains import CyclicQuotient, ResolutionChain, _hj_chain
-from .errors import RowLimitExceeded, SinglabError, _check_ints
+from .errors import RowLimitExceeded, SinglabError, _check_int
 from .invariants import (
     InvariantReport,
     _b2,
@@ -91,7 +94,11 @@ def row_limit() -> int:
 
 @dataclass(frozen=True)
 class SearchQuery:
-    """Parameters of one scan."""
+    """Parameters of one scan.
+
+    The defaults here are the ones ``singlab search`` uses for a flag left
+    out.
+    """
 
     p_max: int
     mode: str = "artin-only"
@@ -101,40 +108,27 @@ class SearchQuery:
     dedup_conjugate: bool = False
 
     def __post_init__(self) -> None:
-        _check_ints(self, "p_max", "workers", "max_contractions")
+        for name, least in (("p_max", 2), ("workers", 1), ("max_contractions", 1)):
+            _check_int(name, getattr(self, name), least)
         for name in ("positive_only", "dedup_conjugate"):
             value = getattr(self, name)
             if value is not True and value is not False:
                 raise SinglabError(f"{name} must be a bool, got {value!r}")
-        if self.p_max < 2:
-            raise SinglabError(f"need p_max >= 2, got {self.p_max}")
         if self.mode not in MODES:
             raise SinglabError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.workers < 1:
-            raise SinglabError(f"need workers >= 1, got {self.workers}")
-        if self.max_contractions < 1:
-            raise SinglabError(
-                f"need max_contractions >= 1, got {self.max_contractions}"
-            )
 
 
 def _disjoint_subsets(intervals, cap):
-    # Nonempty subsets of pairwise-disjoint intervals (tuples that start
-    # with start, stop), at most cap of them, in lexicographic order of the
-    # chosen index tuple.
-    def extend(start, chosen_stop, chosen):
-        for i in range(start, len(intervals)):
-            iv = intervals[i]
-            if iv[0] <= chosen_stop:
-                continue
-            picked = chosen + [iv]
-            yield picked
-            if len(picked) < cap:
-                yield from extend(i + 1, iv[1], picked)
-
-    # intervals are sorted by (start, stop); overlap only needs the last stop
-    # because every chosen interval starts after the previous one ends.
-    yield from extend(0, -1, [])
+    # Nonempty subsets of at most cap pairwise-disjoint intervals (tuples
+    # that start with start, stop), each in interval order.  The intervals
+    # are sorted by start, so the last member of a subset has its largest
+    # stop, and an interval extends a subset only if it starts after that.
+    subsets = [[]]
+    for iv in intervals:
+        subsets += [
+            s + [iv] for s in subsets if len(s) < cap and (not s or s[-1][1] < iv[0])
+        ]
+    return subsets[1:]
 
 
 def _artin_chain(p: int, q: int) -> ResolutionChain:
@@ -143,12 +137,11 @@ def _artin_chain(p: int, q: int) -> ResolutionChain:
     return artin_configuration(CyclicQuotient(p, q)).chain
 
 
-def _pair_rows(p: int, q: int, cap: int, resolve) -> tuple[tuple, list]:
-    # The pair record of (p, q), (q, chain, k, sum_e, q_inv, eta_num), with
-    # the chain from resolve(p, q), and its rows (b2, c_num, label) sorted by
-    # label: the Artin row, whose b2 is k, and, if cap > 0, one row per
-    # disjoint subset of at most cap type-T hits.
-    chain = resolve(p, q)
+def _pair_rows(p: int, q: int, chain: ResolutionChain, cap: int) -> tuple[tuple, list]:
+    # The pair record of (p, q), (q, chain, k, sum_e, q_inv, eta_num), and
+    # its rows (b2, c_num, label) sorted by label: the Artin row, whose b2 is
+    # k, and, if cap > 0, one row per disjoint subset of at most cap type-T
+    # hits.
     pair = _pair_record(p, q, chain)
     k, eta_num = pair[2], pair[5]
     rows = [_row(p, eta_num, k, _label(()))]
@@ -162,27 +155,26 @@ def _pair_rows(p: int, q: int, cap: int, resolve) -> tuple[tuple, list]:
     return pair, rows
 
 
-def _p_rows(p: int, mode: str, cap: int, resolve) -> Iterator[tuple[tuple, list]]:
-    # _pair_rows of every coprime pair with this p, by ascending q.  A
-    # single contraction is a disjoint subset of size one.
-    cap = {"artin-only": 0, "single-contraction": 1}.get(mode, cap)
-    for q in range(1, p):
-        if gcd(p, q) == 1:
-            yield _pair_rows(p, q, cap, resolve)
-
-
 def _p_part(p: int, query: SearchQuery, part, resolve):
-    # The rows generated for p, and part() of the (p, pair, rows) records of
-    # the rows the filters keep.
-    pairs = list(_p_rows(p, query.mode, query.max_contractions, resolve))
-    generated = sum(len(rows) for _, rows in pairs)
-    if query.dedup_conjugate:
-        # pair[0] is q and pair[4] is q_inv.
-        pairs = [(pair, rows) for pair, rows in pairs if pair[0] <= pair[4]]
-    if query.positive_only:
-        # row[1] is c_num = p*C.
-        pairs = [(pair, [row for row in rows if row[1] > 0]) for pair, rows in pairs]
-    return generated, part([(p, pair, rows) for pair, rows in pairs])
+    # One unit: each coprime pair of p by ascending q, with its chain from
+    # resolve(p, q).  Returns the number of rows generated, before the
+    # filters, and part() of the (p, pair, rows) records the filters keep.
+    # A single contraction is a disjoint subset of size one.
+    cap = {"artin-only": 0, "single-contraction": 1}.get(query.mode, query.max_contractions)
+    dedup, positive = query.dedup_conjugate, query.positive_only
+    generated, records = 0, []
+    for q in range(1, p):
+        if gcd(p, q) != 1:
+            continue
+        pair, rows = _pair_rows(p, q, resolve(p, q), cap)
+        generated += len(rows)
+        # pair[4] is q_inv, and row[1] is c_num = p*C.
+        if dedup and q > pair[4]:
+            continue
+        if positive:
+            rows = [row for row in rows if row[1] > 0]
+        records.append((p, pair, rows))
+    return generated, part(records)
 
 
 def _parts(query: SearchQuery, part, resolve) -> Iterator:

@@ -17,7 +17,7 @@ from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from .chains import CyclicQuotient, ResolutionChain, _check_minimal, hj_resolve
-from .errors import InternalCheckError, SinglabError, _check_ints
+from .errors import InternalCheckError, SinglabError, _check_int
 from .exact import cf_eval_pair
 
 __all__ = [
@@ -49,13 +49,12 @@ class TypeTParams:
     d: int
 
     def __post_init__(self) -> None:
-        # Exact ints pass at once; any other type gets the full check.
-        if not type(self.r) is type(self.s) is type(self.d) is int:
-            _check_ints(self, "r", "s", "d")
-        if self.r < 2:
-            raise SinglabError(f"need r >= 2, got r={self.r}")
-        if self.s < 1:
-            raise SinglabError(f"need s >= 1, got s={self.s}")
+        # Exact ints with r >= 2 and s >= 1 pass at once; anything else gets
+        # the full check.
+        if not type(self.r) is type(self.s) is type(self.d) is int or self.r < 2 or self.s < 1:
+            _check_int("r", self.r, 2)
+            _check_int("s", self.s, 1)
+            _check_int("d", self.d)
         object.__setattr__(self, "d", self.d % self.r)
         if self.d == 0 or gcd(self.r, self.d) != 1:
             raise SinglabError(
@@ -83,8 +82,7 @@ def type_t_string(t: TypeTParams) -> ResolutionChain:
 def seed_chain(s: int) -> ResolutionChain:
     """The shortest chain with smoothing dimension s: (4), (3,3), or
     (3, 2, ..., 2, 3) with s-2 middle twos."""
-    if s < 1:
-        raise SinglabError(f"need s >= 1, got {s}")
+    _check_int("s", s, 1)
     if s == 1:
         return ResolutionChain((4,))
     return ResolutionChain((3,) + (2,) * (s - 2) + (3,))
@@ -124,8 +122,8 @@ def enumerate_type_t(
     seed, so each (r, s) cell comes out complete: exactly phi(r) chains, one
     per valid d.  The result is sorted by (r, s, d).
     """
-    if r_max < 2 or s_max < 1:
-        raise SinglabError(f"need r_max >= 2 and s_max >= 1, got ({r_max}, {s_max})")
+    _check_int("r_max", r_max, 2)
+    _check_int("s_max", s_max, 1)
     out: list[tuple[TypeTParams, ResolutionChain]] = []
     for s in range(1, s_max + 1):
         todo = [seed_chain(s)]

@@ -46,6 +46,8 @@ def test_quotient_validation():
     for typed in ((10.0, 3), (7, 3.0), ("7", 3)):
         with pytest.raises(SinglabError, match="must be an integer"):
             CyclicQuotient(*typed)
+    with pytest.raises(SinglabError, match=r"need p >= 2, got 1"):
+        CyclicQuotient(1, 1)
     g = CyclicQuotient(5, 2)
     assert (g.p, g.q) == (5, 2)
     assert mod_inverse(g.q, g.p) == 3
@@ -215,6 +217,15 @@ def test_blow_up_site_validation():
         blow_up(ResolutionChain((3, 2)), OnCurve(0, "right"))
     with pytest.raises(InvalidSite):
         OnCurve(0, "up")
+    # An index is an int >= 0, not a float or a bool.
+    with pytest.raises(IndexOutOfRange, match="must be an integer"):
+        blow_up((3, 2), AtNode(0.0))
+    with pytest.raises(IndexOutOfRange, match="must be an integer"):
+        blow_up((3, 2), OnCurve(True, "right"))
+    with pytest.raises(IndexOutOfRange, match=r"need index >= 0, got -1"):
+        blow_up((3, 2), OnCurve(-1, "left"))
+    with pytest.raises(IndexOutOfRange, match=r"need index >= 0, got -1"):
+        blow_up((3, 2), AtNode(-1))
 
 
 def test_blow_down_examples():
@@ -229,6 +240,10 @@ def test_blow_down_errors():
         blow_down(ResolutionChain((2, 2)), 0)
     with pytest.raises(IndexOutOfRange):
         blow_down(ResolutionChain((1, 4)), 2)
+    with pytest.raises(IndexOutOfRange, match="must be an integer"):
+        blow_down((1, 2), True)
+    with pytest.raises(IndexOutOfRange, match=r"need index >= 0, got -1"):
+        blow_down((1, 2), -1)
 
 
 def _valid_sites(chain):
@@ -272,6 +287,8 @@ def test_non_minimal_graph():
     assert non_minimal_graph(6) == (1, 2, 2, 2, 7)
     with pytest.raises(InvalidN):
         non_minimal_graph(2)
+    with pytest.raises(InvalidN, match="must be an integer"):
+        non_minimal_graph(3.0)
 
 
 def test_non_minimal_graph_from_blow_ups():

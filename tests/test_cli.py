@@ -220,15 +220,15 @@ def test_search_failure_at_the_last_p_prints_nothing(capsys, monkeypatch):
     # Nothing may reach stdout before the last p has been computed.  An
     # invalid-input error exits 2; a failed internal check is a bug and
     # propagates out of main.  Neither leaves a partial output.
-    real_p_rows = search._p_rows
+    real_p_part = search._p_part
     raised = {}
 
-    def failing_p_rows(p, mode, cap, resolve):
+    def failing_p_part(p, query, part, resolve):
         if p == 12:
             raise raised["error"](f"injected failure at p = {p}")
-        return real_p_rows(p, mode, cap, resolve)
+        return real_p_part(p, query, part, resolve)
 
-    monkeypatch.setattr(search, "_p_rows", failing_p_rows)
+    monkeypatch.setattr(search, "_p_part", failing_p_part)
     argv = ("search", "--p-max", "12", "--workers", "1", "--format")
     for fmt in FORMATS:
         raised["error"] = InvalidConfiguration

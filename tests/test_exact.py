@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from singlab import (
     CyclicQuotient,
     DivisionByZero,
+    InvalidChain,
     NotInvertible,
     cf_eval,
     cf_eval_pair,
@@ -37,6 +38,16 @@ def test_mod_inverse_errors():
         mod_inverse(7, 7)
     with pytest.raises(NotInvertible):
         mod_inverse(0, 5)
+
+
+def test_cf_eval_rejects_entries_that_are_not_integers():
+    # A non-int entry would give a value that is not a pair of ints.
+    with pytest.raises(InvalidChain, match="must be integers"):
+        cf_eval_pair((2.5,))
+    with pytest.raises(InvalidChain, match="must be integers"):
+        cf_eval_pair((3.0, 2))
+    with pytest.raises(InvalidChain, match="must be integers"):
+        cf_eval((Fraction(5, 2),))
 
 
 @given(st.integers(2, 10**9), st.integers(1, 10**9))

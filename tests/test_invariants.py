@@ -297,6 +297,18 @@ def test_attach_family_validation():
         attach_family(1, 4, 1, 2)  # gcd(4,2) != 1
     with pytest.raises(SinglabError):
         attach_family(1, 3, 1, 3)  # d out of range
+    with pytest.raises(SinglabError, match=r"need m >= 1, got 0"):
+        attach_family(0, 2, 1, 1)
+    with pytest.raises(SinglabError, match=r"need r >= 2, got 1"):
+        attach_family(1, 1, 1, 1)
+    with pytest.raises(SinglabError, match=r"need s >= 1, got 0"):
+        attach_family(1, 2, 0, 1)
+    with pytest.raises(SinglabError, match=r"need d >= 1, got 0"):
+        attach_family(1, 2, 1, 0)
+    with pytest.raises(SinglabError, match="m must be an integer"):
+        attach_family(1.0, 2, 1, 1)
+    with pytest.raises(SinglabError, match="r_max must be an integer"):
+        theorem_tables(2.5)
 
 
 def test_attach_family_closed_forms_grid():
@@ -357,6 +369,8 @@ def test_family_minimal_graph_examples():
         family_minimal_graph(2, 2, 2)
     with pytest.raises(UnsupportedFamily):
         family_minimal_graph(1, 1, 1)
+    with pytest.raises(UnsupportedFamily, match="r must be an integer"):
+        family_minimal_graph(1, 2.0, 1)
 
 
 def test_family_minimal_graph_matches_pipeline():

@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -250,6 +251,21 @@ def test_row_limit_guard(monkeypatch):
     assert row_limit() == 10_000_000
 
 
+def test_row_limit_counts_every_generated_row(monkeypatch):
+    # A unit counts each pair's rows, contracted rows and the rows the
+    # filters drop included, so a scan that generates exactly the limit
+    # passes and one more row aborts it.
+    for mode in MODES:
+        monkeypatch.delenv("SINGLAB_ROW_LIMIT", raising=False)
+        generated = len(scan(SearchQuery(p_max=30, mode=mode)))
+        query = SearchQuery(p_max=30, mode=mode, positive_only=True, dedup_conjugate=True)
+        monkeypatch.setenv("SINGLAB_ROW_LIMIT", str(generated))
+        assert "".join(scan_pieces(query, "csv"))
+        monkeypatch.setenv("SINGLAB_ROW_LIMIT", str(generated - 1))
+        with pytest.raises(RowLimitExceeded):
+            scan_pieces(query, "csv")
+
+
 def test_json_schema_field_order():
     rows = scan(SearchQuery(p_max=5, mode="single-contraction"))
     parsed = json.loads(render_json(rows))
@@ -295,6 +311,35 @@ def test_table_format():
     assert render_table([]).splitlines()[0].split()[0] == "p"
 
 
+def _reference_subsets(hits, cap):
+    # The nonempty subsets of at most cap hits, sorted by start, in which
+    # each interval stops before the next one starts: the reference for
+    # search._disjoint_subsets.
+    return [
+        list(chosen)
+        for n in range(1, cap + 1)
+        for chosen in combinations(hits, n)
+        if all(a[1] < b[0] for a, b in zip(chosen, chosen[1:]))
+    ]
+
+
+def test_disjoint_subsets_match_the_reference():
+    # As sorted lists, since a pair's rows are sorted by label afterwards.
+    # At cap 3 they are the 15 779 contracted rows of a multi-contraction
+    # scan at p_max 200.
+    total = 0
+    for p in range(2, 201):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            hits = find_type_t_substrings(chains._hj_chain(p, q))
+            for cap in (1, 2, 3):
+                expected = sorted(_reference_subsets(hits, cap))
+                assert sorted(_disjoint_subsets(hits, cap)) == expected
+            total += len(expected)
+    assert total == 15_779
+
+
 def _builder_reports(g, cap):
     # The reference rows of one pair: configuration_invariants of the Artin
     # configuration and of configuration(g, intervals) for each disjoint
@@ -302,7 +347,7 @@ def _builder_reports(g, cap):
     chain = hj_resolve(g)
     reports = [configuration_invariants(configuration(g, ()))]
     if cap:
-        for chosen in _disjoint_subsets(find_type_t_substrings(chain), cap):
+        for chosen in _reference_subsets(find_type_t_substrings(chain), cap):
             intervals = [(iv.start, iv.stop) for iv in chosen]
             reports.append(configuration_invariants(configuration(g, intervals)))
     return sorted(reports, key=lambda row: row.label)
@@ -589,8 +634,8 @@ def test_pair_rows_render_as_the_reference_at_large_p(p, q0):
     assume(q != 0 and gcd(p, q) == 1 and _chain_length(p, q) <= 200)
     expected = _builder_reports(CyclicQuotient(p, q), 3)
     # scan_pieces' chain source and scan()'s give the same record and rows.
-    pair, rows = _pair_rows(p, q, 3, chains._hj_chain)
-    assert _pair_rows(p, q, 3, search._artin_chain) == (pair, rows)
+    pair, rows = _pair_rows(p, q, chains._hj_chain(p, q), 3)
+    assert _pair_rows(p, q, search._artin_chain(p, q), 3) == (pair, rows)
     assert [invariants._report(p, pair, row) for row in rows] == expected
     for fmt, (reference, render) in REFERENCE_RENDER.items():
         part = FORMATS[fmt][0]
@@ -666,10 +711,10 @@ def test_no_spool_file_outlives_the_scan(monkeypatch, tmp_path):
     # The spool is an unnamed file in TMPDIR while the scan runs, and it is
     # closed however the scan ends.
     monkeypatch.setenv("TMPDIR", str(tmp_path))
-    real_p_rows = search._p_rows
+    real_p_part = search._p_part
     seen = {}
 
-    def spy_p_rows(p, mode, cap, resolve):
+    def spy_p_part(p, query, part, resolve):
         if p == 12:
             seen["spools"] = [
                 target
@@ -678,11 +723,11 @@ def test_no_spool_file_outlives_the_scan(monkeypatch, tmp_path):
             ]
             if seen.get("error"):
                 raise seen["error"](f"injected failure at p = {p}")
-        return real_p_rows(p, mode, cap, resolve)
+        return real_p_part(p, query, part, resolve)
 
     query = SearchQuery(p_max=12)
     rows = scan(query)
-    monkeypatch.setattr(search, "_p_rows", spy_p_rows)
+    monkeypatch.setattr(search, "_p_part", spy_p_part)
     before = _open_fds()
     for fmt in FORMATS:
         assert "".join(scan_pieces(query, fmt)) == RENDERERS[fmt](rows)

@@ -84,6 +84,9 @@ def test_seed_chains():
     assert seed_chain(5) == (3, 2, 2, 2, 3)
     with pytest.raises(SinglabError):
         seed_chain(0)
+    for s in (2.0, True):
+        with pytest.raises(SinglabError, match="s must be an integer"):
+            seed_chain(s)
 
 
 def test_grow_moves():
@@ -174,6 +177,14 @@ def test_enumerate_validation():
     with pytest.raises(SinglabError):
         enumerate_type_t(1, 1)
     with pytest.raises(SinglabError):
+        enumerate_type_t(4, 0)
+    with pytest.raises(SinglabError, match="r_max must be an integer"):
+        enumerate_type_t(3.0, 1)
+    with pytest.raises(SinglabError, match="s_max must be an integer"):
+        enumerate_type_t(2, True)
+    with pytest.raises(SinglabError, match=r"need r_max >= 2, got 1"):
+        enumerate_type_t(1, 1)
+    with pytest.raises(SinglabError, match=r"need s_max >= 1, got 0"):
         enumerate_type_t(4, 0)
 
 
