@@ -226,19 +226,14 @@ def blow_up(chain: ResolutionChain, site: BlowUpSite) -> ResolutionChain:
         )
     if i >= k:
         raise IndexOutOfRange(f"curve index {i} not in chain of length {k}")
-    if site.side == "left":
-        if i != 0:
-            raise InvalidSite(
-                "a free-point blow-up keeps the graph linear only at a chain end; "
-                f"curve {i} has a left neighbour"
-            )
-        return ResolutionChain([1, entries[0] + 1] + entries[1:])
-    if i != k - 1:
+    left = site.side == "left"
+    if i != (0 if left else k - 1):
         raise InvalidSite(
             "a free-point blow-up keeps the graph linear only at a chain end; "
-            f"curve {i} has a right neighbour"
+            f"curve {i} has a {site.side} neighbour"
         )
-    return ResolutionChain(entries[:-1] + [entries[-1] + 1, 1])
+    entries[i] += 1
+    return ResolutionChain([1] + entries if left else entries + [1])
 
 
 def blow_down(chain: ResolutionChain, index: int) -> ResolutionChain:

@@ -41,7 +41,8 @@ def _check_int(name: str, value, least: int | None = None, error=SinglabError) -
 
 
 class NotInvertible(SinglabError):
-    """No modular inverse exists (non-coprime arguments or modulus < 2)."""
+    """No modular inverse exists (non-coprime arguments or modulus < 2), or an
+    argument of mod_inverse is not an int."""
 
 
 class DivisionByZero(SinglabError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DivisionByZero, InvalidChain, NotInvertible
+from .errors import DivisionByZero, InvalidChain, NotInvertible, _check_int
 
 __all__ = ["mod_inverse", "cf_eval", "cf_eval_pair", "decimal_str"]
 
@@ -29,8 +29,14 @@ __all__ = ["mod_inverse", "cf_eval", "cf_eval_pair", "decimal_str"]
 def mod_inverse(q: int, p: int) -> int:
     """Return the inverse of q modulo p, normalized into [1, p-1].
 
-    Raises NotInvertible if p < 2 or gcd(q, p) != 1 (which covers q = 0 mod p).
+    Raises NotInvertible if p < 2 or gcd(q, p) != 1 (which covers q = 0 mod p),
+    or if q or p is not an int (a bool or float included).
     """
+    # Exact ints pass at once, as in CyclicQuotient: every scan pair and
+    # point query calls this.
+    if not type(q) is type(p) is int:
+        _check_int("q", q, error=NotInvertible)
+        _check_int("p", p, error=NotInvertible)
     if p < 2:
         raise NotInvertible(f"modulus must be at least 2, got {p}")
     try:

@@ -22,10 +22,12 @@ chain nor q^(-1;p): a wrong chain entry or a wrong inverse raises
 InternalCheckError.  A configuration of the pair adds the row
 (b2, c_num, label), with p*C = c_num; each contracted substring enters it
 as a hit (start, stop, b2 change, label), so a scan that puts one hit in
-many configurations computes those once.  ``configuration_invariants``
-turns one configuration into an ``InvariantReport``; it is the route for
-point queries and the CLI's point commands, and the reference for a scan,
-which builds its rows from pair records and hits (:mod:`singlab.search`).
+many configurations computes those once.  Every row, of a scan or of a
+point query, is ``_row(p, pair, hits)``, the Artin row with no hits.
+``configuration_invariants`` turns one configuration into an
+``InvariantReport``; it is the route for point queries and the CLI's point
+commands, and the reference for a scan, which builds its rows from pair
+records and hits (:mod:`singlab.search`).
 
 The attachment families with C > 0 are listed once, as the keys (m, s) of
 ``_FAMILY_GRAPHS``; ``theorem_tables`` and ``family_minimal_graph`` read
@@ -34,7 +36,7 @@ that list, and ``attach_family`` covers every m, s and d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
@@ -96,17 +98,6 @@ def _hit(iv: ContractedInterval) -> tuple[int, int, int, str]:
     # (start, stop, b2 change, label) of a contracted substring: its curves
     # are traded for s - 1 classes of the smoothing.
     return iv.start, iv.stop, iv.params.s - 1 - iv.length, iv.label()
-
-
-def _b2(k: int, hits: Sequence[tuple]) -> int:
-    # b2 of the smoothing of a chain of k curves with these hits contracted.
-    for hit in hits:
-        k += hit[2]
-    return k
-
-
-def _label(hits: Sequence[tuple]) -> str:
-    return "+".join(hit[3] for hit in hits) if hits else "artin"
 
 
 @dataclass(frozen=True)
@@ -190,9 +181,16 @@ def _pair_record(p: int, q: int, chain: Sequence[int]) -> tuple:
     return q, chain, k, sum_e, q_inv, eta_num
 
 
-def _row(p: int, eta_num: int, b2: int, label: str) -> tuple[int, int, str]:
-    # (b2, c_num, label) of one configuration of the pair: p*C = c_num.
-    return b2, (2 - b2) * p + 2 - eta_num, label
+def _row(p: int, pair: tuple, hits: Sequence[tuple]) -> tuple[int, int, str]:
+    # (b2, c_num, label) of the configuration of a pair record with these
+    # hits contracted: p*C = c_num.  b2 is the chain length k plus each
+    # hit's b2 change.  The Artin label is a constant, so the most common
+    # row of a scan pays no join.
+    b2 = pair[2]
+    for hit in hits:
+        b2 += hit[2]
+    label = "+".join(hit[3] for hit in hits) if hits else "artin"
+    return b2, (2 - b2) * p + 2 - pair[5], label
 
 
 def _report(p: int, pair: tuple, row: tuple[int, int, str]) -> InvariantReport:
@@ -224,8 +222,7 @@ def configuration_invariants(cfg: ResolutionConfiguration) -> InvariantReport:
     """
     p = cfg.quotient.p
     pair = _pair_record(p, cfg.quotient.q, cfg.chain)
-    hits = [_hit(iv) for iv in cfg.contracted]
-    return _report(p, pair, _row(p, pair[5], _b2(pair[2], hits), _label(hits)))
+    return _report(p, pair, _row(p, pair, [_hit(iv) for iv in cfg.contracted]))
 
 
 def find_type_t_substrings(chain: Sequence[int]) -> list[ContractedInterval]:
@@ -339,13 +336,7 @@ def attach_family(
     t_chain = type_t_string(TypeTParams(r, s, r - d))
     report = _contracted_report((2,) * m + t_chain, m, m + len(t_chain) - 1)
     closed = _family_closed_form(m, r, s, d)
-    if (report.p, report.q, report.q_inv, report.eta, report.c_value) != (
-        closed.p,
-        closed.q,
-        closed.q_inv,
-        closed.eta,
-        closed.c_value,
-    ):
+    if any(getattr(report, f.name) != getattr(closed, f.name) for f in fields(closed)):
         raise MismatchError(
             f"pipeline and closed form disagree for (m, r, s, d) = "
             f"({m}, {r}, {s}, {d}): {report} vs {closed}"
@@ -369,9 +360,12 @@ def family_minimal_graph(m: int, r: int, s: int) -> ResolutionChain:
     """Minimal-resolution graph of the d = 1 attachment family.
 
     Published for (m, s) in {(1,1), (1,2), (1,3), (2,1), (3,1)} with r >= 2;
-    anything else raises UnsupportedFamily.
+    anything else, a bool or float argument included, raises
+    UnsupportedFamily.
     """
+    _check_int("m", m, error=UnsupportedFamily)
     _check_int("r", r, 2, UnsupportedFamily)
+    _check_int("s", s, error=UnsupportedFamily)
     if (m, s) not in _FAMILY_GRAPHS:
         raise UnsupportedFamily(
             f"no minimal-resolution graph for (m, r, s) = ({m}, {r}, {s})"

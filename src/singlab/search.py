@@ -60,9 +60,7 @@ from .chains import CyclicQuotient, ResolutionChain, _hj_chain
 from .errors import RowLimitExceeded, SinglabError, _check_int
 from .invariants import (
     InvariantReport,
-    _b2,
     _hit,
-    _label,
     _pair_record,
     _report,
     _row,
@@ -139,18 +137,17 @@ def _artin_chain(p: int, q: int) -> ResolutionChain:
 
 def _pair_rows(p: int, q: int, chain: ResolutionChain, cap: int) -> tuple[tuple, list]:
     # The pair record of (p, q), (q, chain, k, sum_e, q_inv, eta_num), and
-    # its rows (b2, c_num, label) sorted by label: the Artin row, whose b2 is
-    # k, and, if cap > 0, one row per disjoint subset of at most cap type-T
-    # hits.
+    # its rows (b2, c_num, label) sorted by label, each _row(p, pair, hits):
+    # the Artin row, with no hits, and, if cap > 0, one row per disjoint
+    # subset of at most cap type-T hits.
     pair = _pair_record(p, q, chain)
-    k, eta_num = pair[2], pair[5]
-    rows = [_row(p, eta_num, k, _label(()))]
+    rows = [_row(p, pair, ())]
     if cap:
         # The hits are disjoint within a subset and sorted by start, so each
         # subset is a valid configuration as it stands.
         hits = [_hit(iv) for iv in find_type_t_substrings(chain)]
         for chosen in _disjoint_subsets(hits, cap):
-            rows.append(_row(p, eta_num, _b2(k, chosen), _label(chosen)))
+            rows.append(_row(p, pair, chosen))
         rows.sort(key=itemgetter(2))
     return pair, rows
 

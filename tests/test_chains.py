@@ -211,9 +211,9 @@ def test_blow_up_site_validation():
         blow_up(ResolutionChain((3, 2)), OnCurve(2, "left"))
     with pytest.raises(IndexOutOfRange):
         blow_up(ResolutionChain((3,)), AtNode(0))
-    with pytest.raises(InvalidSite):
+    with pytest.raises(InvalidSite, match="curve 1 has a left neighbour"):
         blow_up(ResolutionChain((3, 2, 2)), OnCurve(1, "left"))
-    with pytest.raises(InvalidSite):
+    with pytest.raises(InvalidSite, match="curve 0 has a right neighbour"):
         blow_up(ResolutionChain((3, 2)), OnCurve(0, "right"))
     with pytest.raises(InvalidSite):
         OnCurve(0, "up")

@@ -38,6 +38,14 @@ def test_mod_inverse_errors():
         mod_inverse(7, 7)
     with pytest.raises(NotInvertible):
         mod_inverse(0, 5)
+    # Both arguments are ints: not a bare TypeError for a float, and no
+    # inverse of a bool.
+    with pytest.raises(NotInvertible, match="q must be an integer"):
+        mod_inverse(2.0, 5)
+    with pytest.raises(NotInvertible, match="p must be an integer"):
+        mod_inverse(3, 7.0)
+    with pytest.raises(NotInvertible, match="q must be an integer"):
+        mod_inverse(True, 5)
 
 
 def test_cf_eval_rejects_entries_that_are_not_integers():

@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -10,6 +11,7 @@ from singlab import (
     InternalCheckError,
     InvalidChain,
     InvalidConfiguration,
+    MismatchError,
     NonMinimalChain,
     ResolutionChain,
     ResolutionConfiguration,
@@ -324,6 +326,19 @@ def test_attach_family_closed_forms_grid():
                     assert report.c_value == Fraction(4 - m * d * d * s, report.p)
 
 
+def test_attach_family_compares_every_closed_form_field(monkeypatch):
+    # A closed form off in any one of its five fields raises MismatchError.
+    closed_form = invariants._family_closed_form
+    for field in fields(invariants.FamilyClosedForm):
+        def off_by_one(*args, name=field.name):
+            closed = closed_form(*args)
+            return replace(closed, **{name: getattr(closed, name) + 1})
+
+        monkeypatch.setattr(invariants, "_family_closed_form", off_by_one)
+        with pytest.raises(MismatchError, match="pipeline and closed form disagree"):
+            attach_family(2, 3, 1, 1)
+
+
 def test_attach_family_positive_exactly_for_the_five_families():
     # C = (4 - m d^2 s)/p, so C > 0 exactly when m d^2 s < 4
     positive = {(1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 1, 1), (3, 1, 1)}
@@ -371,6 +386,14 @@ def test_family_minimal_graph_examples():
         family_minimal_graph(1, 1, 1)
     with pytest.raises(UnsupportedFamily, match="r must be an integer"):
         family_minimal_graph(1, 2.0, 1)
+    # m and s are checked too, before the (m, s) lookup would hash True as 1
+    # and 2.0 as 2.
+    with pytest.raises(UnsupportedFamily, match="m must be an integer"):
+        family_minimal_graph(True, 2, 1)
+    with pytest.raises(UnsupportedFamily, match="s must be an integer"):
+        family_minimal_graph(1, 2, 2.0)
+    with pytest.raises(UnsupportedFamily, match="m must be an integer"):
+        family_minimal_graph(1.0, 2, 1)
 
 
 def test_family_minimal_graph_matches_pipeline():

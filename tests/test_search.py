@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -623,6 +624,34 @@ def test_renderers_match_the_report_based_reference(mode, filters):
         assert "".join(scan_pieces(query, fmt)) == expected
 
 
+_SPAN = re.compile(r"contract\[(\d+)\.\.(\d+)\]")
+
+
+def _c_num_from_the_chain(p, q, chain, label):
+    # p*C of the row with this label, by a route that reads the chain and
+    # q^(-1;p) but not eta: with h contracted hits and out the entries
+    # outside them, p*C = (2 - h - sum_out (e - 2))*p + 2 - q - q^(-1;p).
+    # It follows from c_num = (2 - b2)*p + 2 - 3*p*eta, the b2 rule and each
+    # T-string's sum law sum(e) = 3L + 2 - s (Kollar--Shepherd-Barron 1988).
+    spans = [(int(a), int(b)) for a, b in _SPAN.findall(label)]
+    inside = {i for a, b in spans for i in range(a, b + 1)}
+    excess = sum(e - 2 for i, e in enumerate(chain) if i not in inside)
+    return (2 - len(spans) - excess) * p + 2 - q - pow(q, -1, p)
+
+
+def test_every_row_satisfies_the_chain_identity():
+    # Every row of every coprime pair with p <= 200 at cap 3.
+    count = 0
+    for p in range(2, 201):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                chain = chains._hj_chain(p, q)
+                for _, c_num, label in _pair_rows(p, q, chain, 3)[1]:
+                    assert c_num == _c_num_from_the_chain(p, q, chain, label)
+                    count += 1
+    assert count == 12_231 + 15_779  # the Artin rows and the cap-3 subsets
+
+
 @given(st.integers(2, 10**9), st.integers(1, 10**9))
 @example(4, 1)  # k = 1 with a hit: the chain (4) contracts to T(2,1,1)
 @example(10**9 - 1, 1)  # k = 1, no hit, C numerator near -10**9
@@ -636,6 +665,8 @@ def test_pair_rows_render_as_the_reference_at_large_p(p, q0):
     # scan_pieces' chain source and scan()'s give the same record and rows.
     pair, rows = _pair_rows(p, q, chains._hj_chain(p, q), 3)
     assert _pair_rows(p, q, search._artin_chain(p, q), 3) == (pair, rows)
+    for _, c_num, label in rows:
+        assert c_num == _c_num_from_the_chain(p, q, pair[1], label)
     assert [invariants._report(p, pair, row) for row in rows] == expected
     for fmt, (reference, render) in REFERENCE_RENDER.items():
         part = FORMATS[fmt][0]

@@ -3,8 +3,8 @@
 Each line holds the command's arguments, the sha256 of its stdout, the
 sha256 of its stderr and its exit code.  The set is every ``search`` mode x
 format x {no filter, --positive, --dedup-conjugate, both} x --workers 1 and
-2 at ``--p-max``, then the point commands and the invalid ``search`` calls
-whose bytes the library keeps stable.  Run it from the root of a checkout;
+2 at ``--p-max``, one ``--max-contractions 2`` scan per format, then the
+point commands and the invalid calls whose bytes the library keeps stable.  Run it from the root of a checkout;
 it runs that checkout's ``python -m singlab.cli`` with ``PYTHONPATH=src``:
 
     python tools/cli_digests.py [--p-max 400] > digests.txt
@@ -33,6 +33,10 @@ POINT_COMMANDS = (
     ("invariants", "8", "3", "--contract", "0..1"),
     ("eta", "9", "2", "--method", "both"),
     ("typet", "enumerate", "--r-max", "6", "--s-max", "3"),
+    ("typet", "recognize", "5,2"),
+    ("typet", "recognize", "2,2"),
+    ("resolve", "5", "2"),
+    ("graphs", "--non-minimal", "4"),
 )
 
 ERROR_COMMANDS = (
@@ -42,6 +46,8 @@ ERROR_COMMANDS = (
     ("search", "--p-max", "10", "--max-contractions", "0"),
     ("search", "--p-max", "10", "--mode", "x"),
     ("search",),
+    ("invariants", "9", "2", "--contract", "0..5"),
+    ("family", "--curves", "1", "--r", "2", "--s", "1", "--d", "2"),
 )
 
 
@@ -50,6 +56,11 @@ def commands(p_max: int):
         yield (
             "search", "--p-max", str(p_max), "--mode", mode, "--format", fmt,
             *flags, "--workers", workers,
+        )
+    for fmt in FORMATS:
+        yield (
+            "search", "--p-max", str(p_max), "--mode", "multi-contraction",
+            "--max-contractions", "2", "--format", fmt,
         )
     yield from POINT_COMMANDS
     yield from ERROR_COMMANDS
