@@ -13,7 +13,7 @@ rows (b2, c_num, label) with p*C = c_num (a scan renders one p at a time).
 The pair's cells are formatted once per record and only b2, C, positive
 and the label per row.  Parts concatenate, so the parts of a run are
 written to a text stream as they arrive, and the reader turns that stream
-into the output in pieces of at most about 1 MiB (``_PIECE``): what the
+into the output in pieces of at most 16 KiB (``_PIECE``): what the
 format writes once (the CSV header, the JSON brackets, the table header)
 and the streamed text, the table's lines padded as they are read.
 ``FORMATS`` maps each format name to its (part function, reader) pair.
@@ -94,9 +94,10 @@ def _records(rows: Iterable[InvariantReport]) -> Iterator[tuple[int, tuple, list
         )
 
 
-# The readers yield the output in pieces of at most about this many
-# characters.
-_PIECE = 1 << 20
+# The readers yield the output in pieces of at most this many characters,
+# and the table's width pass reads blocks of this many, so the read-back
+# holds a few pieces and one block's cells at a time.
+_PIECE = 1 << 14
 
 # A text stream over a binary buffer, with no newline translation.
 _text = partial(io.TextIOWrapper, encoding="utf-8", newline="\n")
@@ -176,10 +177,6 @@ def render_csv(rows: Iterable[InvariantReport]) -> str:
 
 _TABLE_COLUMNS = ("p", "q", "chain", "k", "sum_e", "q_inv", "eta", "b2", "C", "label")
 
-# The table reader measures the column widths in blocks of at most this
-# many characters, so that pass holds one block's cells, not a piece's.
-_MEASURE = 1 << 14
-
 
 def table_part(records: Iterable[tuple[int, tuple, list]]) -> str:
     """The unpadded lines of the rows, each ending in a newline.
@@ -207,7 +204,7 @@ def _read_table(spool) -> Iterator[str]:
     # a second pass pads them as it reads them.
     widths = [len(col) for col in _TABLE_COLUMNS]
     rest = ""
-    for block in iter(partial(spool.read, min(_PIECE, _MEASURE)), ""):
+    for block in _blocks(spool):
         *lines, rest = (rest + block).split("\n")
         # The header's cells keep every column in a block of no whole line.
         columns = zip(_TABLE_COLUMNS, *[cells.split("\t") for cells in lines])

@@ -37,8 +37,8 @@ pool, whose ``map`` returns them in p order, so the rows are sorted by
 (p, q, label) and the output is byte-identical regardless of how many
 workers produced it.  ``_parts`` imports the process pool, and
 multiprocessing with it, only when it starts a pool.  Once the scan
-completes, the format's reader reads the spool back in pieces of about
-1 MiB at most, so the parent's peak memory does not grow with the output.
+completes, the format's reader reads the spool back in pieces of 16 KiB
+at most, so the parent's peak memory does not grow with the output.
 
 The environment variable SINGLAB_ROW_LIMIT (default 10_000_000) bounds the
 number of generated rows, counted before the filters.  It is checked as the
@@ -176,10 +176,12 @@ def _p_part(p: int, query: SearchQuery, part, resolve):
 
 def _parts(query: SearchQuery, part, resolve) -> Iterator:
     # The parts of p = 2..p_max in p order, from at most one process per
-    # core; resolve(p, q) is the chain source, a module-level function so
-    # that a pool can pickle it.
+    # core this process may run on (its CPU affinity, where the platform
+    # has one); resolve(p, q) is the chain source, a module-level function
+    # so that a pool can pickle it.
     limit = row_limit()
-    n = min(query.workers, query.p_max - 1, os.cpu_count() or 1)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    n = min(query.workers, query.p_max - 1, cores or os.cpu_count() or 1)
     unit = partial(_p_part, query=query, part=part, resolve=resolve)
     ps = range(2, query.p_max + 1)
     pool = None
@@ -225,7 +227,7 @@ def scan_pieces(query: SearchQuery, fmt: str) -> Iterator[str]:
     ``render_<fmt>(scan(query))``; each p is rendered by the unit that
     computed it into a str part, and ``render.stitch`` writes it to an
     unnamed temporary file in $TMPDIR as it arrives, then the format's
-    reader reads the pieces, of about 1 MiB at most, back from that file.
+    reader reads the pieces, of 16 KiB at most, back from that file.
     A spool that cannot be created or written raises ``SinglabError``.
     """
     part = _format(fmt)[0]

@@ -388,5 +388,7 @@ def test_the_process_pool_is_imported_only_by_a_pool():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    pooled = (os.cpu_count() or 1) > 1  # one core starts no pool
+    # One core this process may run on starts no pool.
+    affinity = getattr(os, "sched_getaffinity", None)
+    pooled = (len(affinity(0)) if affinity else os.cpu_count() or 1) > 1
     assert proc.stdout.splitlines() == ["False", "0 False", f"0 {pooled}"]

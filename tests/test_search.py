@@ -7,6 +7,7 @@ import json
 import os
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -203,8 +204,13 @@ def test_scan_processes_capped_at_cores(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
 
-    def pools(cores, p_max=12, **kw):
+    def pools(cores, p_max=12, affinity=None, **kw):
+        # The cores are the affinity's where os reports one, else cpu_count's.
         monkeypatch.setattr("os.cpu_count", lambda: cores)
+        if affinity is None:
+            monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr("os.sched_getaffinity", lambda pid: affinity, raising=False)
         started.clear()
         rows = scan(SearchQuery(p_max=p_max, **kw))
         assert rows == scan(SearchQuery(p_max=p_max))
@@ -216,6 +222,11 @@ def test_scan_processes_capped_at_cores(monkeypatch):
     assert pools(None, workers=4) == []  # one process: no pool
     assert pools(2) == []
     assert pools(8, p_max=3, workers=8) == [2]
+    # A process pinned to one core (taskset -c 0, a cpuset) starts no pool,
+    # however many cores the host has; pinned to three, it starts three.
+    assert pools(8, affinity={0}, workers=2) == []
+    assert pools(8, affinity={0, 2, 5}, workers=8) == [3]
+    assert pools(2, affinity={0, 1, 2, 3}, workers=3) == [3]
     # A row-limit abort shuts the pool down with its pending work cancelled.
     monkeypatch.setenv("SINGLAB_ROW_LIMIT", "5")
     cancelled.clear()
@@ -675,9 +686,30 @@ def test_pair_rows_render_as_the_reference_at_large_p(p, q0):
         assert "".join(stitch(fmt, [part([(p, pair, rows)])])) == text
 
 
+def _read_back(pieces):
+    # The sha256 of the pieces, hashed one at a time, the longest piece and
+    # the traced peak of reading them, in bytes above what was traced before.
+    digest, longest = hashlib.sha256(), 0
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        for piece in pieces:
+            digest.update(piece.encode())
+            longest = max(longest, len(piece))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return digest.hexdigest(), longest, peak
+
+
 def test_bench_scans_keep_their_digests(monkeypatch):
     # The benchmark's three scans, run in process: the bytes they check on
     # every bench run are checked here too.  bench/run.py is only imported.
+    # scan_pieces returns once the scan has run, so what is traced from
+    # there on is the read-back of the spool alone: a few pieces and, for
+    # the table's width pass, one block's cells, well under 1 MiB however
+    # long the output.
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
     bench_run = importlib.util.module_from_spec(spec)
@@ -687,8 +719,11 @@ def test_bench_scans_keep_their_digests(monkeypatch):
     for name, bench_scan in bench_run.SCANS.items():
         args = dict(zip(bench_scan.args[::2], bench_scan.args[1::2]))
         query = SearchQuery(p_max=int(args["--p-max"]), mode=args["--mode"])
-        text = "".join(scan_pieces(query, args.get("--format", "table")))
-        assert _digest(text) == bench_scan.sha256, name
+        fmt = args.get("--format", "table")
+        digest, longest, peak = _read_back(scan_pieces(query, fmt))
+        assert digest == bench_scan.sha256, name
+        assert peak < 1 << 20, (name, peak)
+        assert longest <= render._PIECE, (name, longest)
 
 
 RENDERERS = {"table": render_table, "json": render_json, "csv": render_csv}
