@@ -38,7 +38,6 @@ __all__ = [
     "AtNode",
     "hj_resolve",
     "chain_to_quotient",
-    "reverse_chain",
     "blow_up",
     "blow_down",
     "non_minimal_graph",
@@ -92,11 +91,6 @@ class ResolutionChain(tuple):
             if not isinstance(e, int) or e < 1 or e is True:
                 raise InvalidChain(f"chain entries must be integers >= 1, got {e!r}")
         return super().__new__(cls, items)
-
-    @property
-    def is_minimal(self) -> bool:
-        """True iff the chain contains no (-1)-curve."""
-        return _is_minimal(self)
 
     def __repr__(self) -> str:
         return f"ResolutionChain{tuple.__repr__(self)}"
@@ -194,14 +188,6 @@ def chain_to_quotient(chain: Sequence[int]) -> CyclicQuotient:
     _check_minimal(chain, "chain_to_quotient")
     value = cf_eval(chain)
     return CyclicQuotient(value.denominator, value.numerator)
-
-
-def reverse_chain(chain: ResolutionChain) -> ResolutionChain:
-    """The same curves read from the other end.
-
-    For a minimal chain this swaps (p, q) for (p, q^(-1;p)).
-    """
-    return ResolutionChain(reversed(chain))
 
 
 def blow_up(chain: ResolutionChain, site: BlowUpSite) -> ResolutionChain:

@@ -146,8 +146,8 @@ def _run(args: argparse.Namespace, out) -> int:
     elif args.command == "search":
         fields = {k: v for k, v in vars(args).items() if k not in ("command", "format")}
         query = SearchQuery(**fields)
-        # The pieces are at most 16 KiB each, and out's buffer joins the
-        # small ones.
+        # The pieces are at most 16 KiB each (or one longer table line), and
+        # out's buffer joins the small ones.
         out.writelines(scan_pieces(query, args.format))
     # Flush here, so that a closed pipe raises before main returns.
     out.flush()

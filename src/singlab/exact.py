@@ -32,13 +32,11 @@ def mod_inverse(q: int, p: int) -> int:
     Raises NotInvertible if p < 2 or gcd(q, p) != 1 (which covers q = 0 mod p),
     or if q or p is not an int (a bool or float included).
     """
-    # Exact ints pass at once, as in CyclicQuotient: every scan pair and
-    # point query calls this.
-    if not type(q) is type(p) is int:
+    # Exact ints with p >= 2 pass at once, as in CyclicQuotient: every scan
+    # pair and point query calls this.
+    if not type(q) is type(p) is int or p < 2:
         _check_int("q", q, error=NotInvertible)
-        _check_int("p", p, error=NotInvertible)
-    if p < 2:
-        raise NotInvertible(f"modulus must be at least 2, got {p}")
+        _check_int("p", p, 2, NotInvertible)
     try:
         return pow(q, -1, p)
     except ValueError as exc:

@@ -15,7 +15,9 @@ and the label per row.  Parts concatenate, so the parts of a run are
 written to a text stream as they arrive, and the reader turns that stream
 into the output in pieces of at most 16 KiB (``_PIECE``): what the
 format writes once (the CSV header, the JSON brackets, the table header)
-and the streamed text, the table's lines padded as they are read.
+and the streamed text, the table's lines padded as they are read.  The
+one exception is a padded table line longer than ``_PIECE``: it is a piece
+of its own, so the read-back still holds one line at a time.
 ``FORMATS`` maps each format name to its (part function, reader) pair.
 ``stitch(fmt, parts)`` streams the parts to an unnamed temporary file in
 $TMPDIR, the spool, and a spool that cannot be created or written raises
@@ -79,7 +81,7 @@ def _over(x: Fraction, den: int) -> int:
     # its C over p.
     num, rest = divmod(x.numerator * den, x.denominator)
     if rest:
-        raise ValueError(f"{x} is not a fraction over {den}")
+        raise SinglabError(f"{x} is not a fraction over {den}")
     return num
 
 
@@ -94,9 +96,10 @@ def _records(rows: Iterable[InvariantReport]) -> Iterator[tuple[int, tuple, list
         )
 
 
-# The readers yield the output in pieces of at most this many characters,
-# and the table's width pass reads blocks of this many, so the read-back
-# holds a few pieces and one block's cells at a time.
+# The readers yield the output in pieces of at most this many characters
+# (or one padded table line, if that is longer), and the table's width pass
+# reads blocks of this many, so the read-back holds a few pieces and one
+# block's cells at a time.
 _PIECE = 1 << 14
 
 # A text stream over a binary buffer, with no newline translation.
@@ -127,12 +130,9 @@ def json_part(records: Iterable[tuple[int, tuple, list]]) -> str:
 
 def _read_json(spool) -> Iterator[str]:
     # A JSON array of the spooled objects, less the ",\n" before the first.
-    # Seeking to where read(2) stopped drops the rest of the chunk it
-    # decoded, so each piece is one decoded chunk, not a join of two.
     if not spool.read(2):
         yield "[]\n"
         return
-    spool.seek(spool.tell())
     yield "[\n"
     yield from _blocks(spool)
     yield "\n]\n"

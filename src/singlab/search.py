@@ -38,7 +38,8 @@ pool, whose ``map`` returns them in p order, so the rows are sorted by
 workers produced it.  ``_parts`` imports the process pool, and
 multiprocessing with it, only when it starts a pool.  Once the scan
 completes, the format's reader reads the spool back in pieces of 16 KiB
-at most, so the parent's peak memory does not grow with the output.
+at most (a padded table line longer than that is a piece of its own), so
+the parent's peak memory does not grow with the output.
 
 The environment variable SINGLAB_ROW_LIMIT (default 10_000_000) bounds the
 number of generated rows, counted before the filters.  It is checked as the
@@ -78,15 +79,12 @@ _DEFAULT_ROW_LIMIT = 10_000_000
 
 def row_limit() -> int:
     """The configured output bound (SINGLAB_ROW_LIMIT, default 10_000_000)."""
-    raw = os.environ.get("SINGLAB_ROW_LIMIT")
-    if raw is None:
-        return _DEFAULT_ROW_LIMIT
+    raw = os.environ.get("SINGLAB_ROW_LIMIT", str(_DEFAULT_ROW_LIMIT))
     try:
         value = int(raw)
     except ValueError as exc:
         raise SinglabError(f"SINGLAB_ROW_LIMIT must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise SinglabError(f"SINGLAB_ROW_LIMIT must be positive, got {value}")
+    _check_int("SINGLAB_ROW_LIMIT", value, 1)
     return value
 
 
@@ -227,7 +225,8 @@ def scan_pieces(query: SearchQuery, fmt: str) -> Iterator[str]:
     ``render_<fmt>(scan(query))``; each p is rendered by the unit that
     computed it into a str part, and ``render.stitch`` writes it to an
     unnamed temporary file in $TMPDIR as it arrives, then the format's
-    reader reads the pieces, of 16 KiB at most, back from that file.
+    reader reads the pieces back from that file: each of 16 KiB at most,
+    or one padded table line where that line is longer.
     A spool that cannot be created or written raises ``SinglabError``.
     """
     part = _format(fmt)[0]

@@ -31,7 +31,6 @@ __all__ = [
     "recognize_type_t",
     "type_t_invariants",
     "TypeTInvariants",
-    "conjugate",
 ]
 
 
@@ -236,8 +235,3 @@ def type_t_invariants(t: TypeTParams) -> TypeTInvariants:
         eta=Fraction(3 - t.s - Fraction(2, p), 3),
         c_value=Fraction(4, p),
     )
-
-
-def conjugate(t: TypeTParams) -> TypeTParams:
-    """T(r,s,d) -> T(r,s,r-d): the same singularity with the chain reversed."""
-    return TypeTParams(t.r, t.s, t.r - t.d)

@@ -30,7 +30,7 @@ def test_mod_inverse_range_and_normalization():
 
 
 def test_mod_inverse_errors():
-    with pytest.raises(NotInvertible):
+    with pytest.raises(NotInvertible, match="need p >= 2, got 1"):
         mod_inverse(2, 1)
     with pytest.raises(NotInvertible):
         mod_inverse(4, 6)

@@ -8,6 +8,7 @@ import os
 import re
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -257,7 +258,7 @@ def test_row_limit_guard(monkeypatch):
     with pytest.raises(SinglabError):
         scan(SearchQuery(p_max=3))
     monkeypatch.setenv("SINGLAB_ROW_LIMIT", "0")
-    with pytest.raises(SinglabError):
+    with pytest.raises(SinglabError, match="need SINGLAB_ROW_LIMIT >= 1, got 0"):
         scan(SearchQuery(p_max=3))
     monkeypatch.delenv("SINGLAB_ROW_LIMIT")
     assert row_limit() == 10_000_000
@@ -321,6 +322,19 @@ def test_table_format():
     # positive C values carry the trailing marker
     assert all("+" in line for line in lines[1:])
     assert render_table([]).splitlines()[0].split()[0] == "p"
+
+
+def test_a_report_off_its_denominators_is_a_singlab_error():
+    # A report's eta is over 3p and its C over p.  Any other value is
+    # invalid input, so every renderer raises SinglabError, not a bare
+    # ValueError.
+    report = scan(SearchQuery(p_max=7))[-1]
+    assert report.p == 7
+    for render_fmt in RENDERERS.values():
+        with pytest.raises(SinglabError, match="^1/2 is not a fraction over 21$"):
+            render_fmt([replace(report, eta=Fraction(1, 2))])
+        with pytest.raises(SinglabError, match="^1/3 is not a fraction over 7$"):
+            render_fmt([replace(report, c_value=Fraction(1, 3))])
 
 
 def _reference_subsets(hits, cap):
@@ -736,7 +750,11 @@ def test_pieces_are_bounded_and_spooled_equal_to_memory(monkeypatch):
     # 50 rows, and at every row with an empty part at both ends and between
     # each two.  At this _PIECE the table's width pass reads blocks that end
     # mid-line, and the second table's widest chain and label are on its
-    # last line.
+    # last line.  The third table's last line is longer than two blocks, so
+    # at least one block of the width pass lies inside it and holds no
+    # whole line; only the header's cells keep every column there.  Each of
+    # its padded lines is wider than _PIECE, and such a line is a piece of
+    # its own.
     monkeypatch.setattr(render, "_PIECE", 4096)
     query = SearchQuery(p_max=40, mode="single-contraction")
     rows = scan(query)
@@ -746,6 +764,9 @@ def test_pieces_are_bounded_and_spooled_equal_to_memory(monkeypatch):
     wide = configuration_invariants(configuration(g, [(100, 100)]))
     assert len(wide.chain) > max(len(row.chain) for row in rows)
     assert len(wide.label) > max(len(row.label) for row in rows)
+    g = chains.chain_to_quotient((2,) * 4200 + (4,))
+    long = configuration_invariants(configuration(g, [(4200, 4200)]))
+    assert len(render.chain_text(long.chain)) > 2 * 4096
     for fmt, (part, _) in FORMATS.items():
         expected = RENDERERS[fmt](rows)
         pieces = list(scan_pieces(query, fmt))
@@ -753,7 +774,7 @@ def test_pieces_are_bounded_and_spooled_equal_to_memory(monkeypatch):
         assert len(pieces) > 10
         assert max(map(len, pieces)) <= 4096
         reference, render_fmt = REFERENCE_RENDER[fmt]
-        for table in (rows, rows + [wide]):
+        for table in (rows, rows + [wide], rows + [long]):
             expected = reference(table)
             assert render_fmt(table) == expected
             by_50 = [part(_records(table[i : i + 50])) for i in range(0, len(table), 50)]
@@ -763,7 +784,10 @@ def test_pieces_are_bounded_and_spooled_equal_to_memory(monkeypatch):
             for parts in (by_50, by_row):
                 pieces = list(stitch(fmt, parts))
                 assert "".join(pieces) == expected
-                assert max(map(len, pieces)) <= 4096
+                if fmt != "table":
+                    assert max(map(len, pieces)) <= 4096
+                for piece in pieces:
+                    assert len(piece) <= 4096 or piece.count("\n") == 1
 
 
 def _open_fds():

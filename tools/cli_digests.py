@@ -4,8 +4,12 @@ Each line holds the command's arguments, the sha256 of its stdout, the
 sha256 of its stderr and its exit code.  The set is every ``search`` mode x
 format x {no filter, --positive, --dedup-conjugate, both} x --workers 1 and
 2 at ``--p-max``, one ``--max-contractions 2`` scan per format, then the
-point commands and the invalid calls whose bytes the library keeps stable.  Run it from the root of a checkout;
-it runs that checkout's ``python -m singlab.cli`` with ``PYTHONPATH=src``:
+point commands and the invalid calls whose bytes the library keeps stable,
+then ``search --p-max 10`` (31 generated rows) under each value of
+``SINGLAB_ROW_LIMIT`` in ``ROW_LIMITS``, whose lines start with the
+variable.  Every other run has no ``SINGLAB_ROW_LIMIT``.  Run it from the
+root of a checkout; it runs that checkout's ``python -m singlab.cli`` with
+``PYTHONPATH=src``:
 
     python tools/cli_digests.py [--p-max 400] > digests.txt
 
@@ -50,6 +54,9 @@ ERROR_COMMANDS = (
     ("family", "--curves", "1", "--r", "2", "--s", "1", "--d", "2"),
 )
 
+# Invalid (0, x), at the row count (31, exit 0) and one below it (30, exit 3).
+ROW_LIMITS = ("0", "x", "31", "30")
+
 
 def commands(p_max: int):
     for mode, fmt, flags, workers in product(MODES, FORMATS, FILTERS, ("1", "2")):
@@ -66,6 +73,14 @@ def commands(p_max: int):
     yield from ERROR_COMMANDS
 
 
+def runs(p_max: int):
+    # (environment variables set for the run, arguments) of each run.
+    for command in commands(p_max):
+        yield {}, command
+    for limit in ROW_LIMITS:
+        yield {"SINGLAB_ROW_LIMIT": limit}, ("search", "--p-max", "10")
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -75,12 +90,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--p-max", type=int, default=400)
     args = parser.parse_args(argv)
     env = dict(os.environ)
+    env.pop("SINGLAB_ROW_LIMIT", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ("src", env.get("PYTHONPATH"))))
-    for command in commands(args.p_max):
+    for extra, command in runs(args.p_max):
         run = subprocess.run(
-            [sys.executable, "-m", "singlab.cli", *command], capture_output=True, env=env
+            [sys.executable, "-m", "singlab.cli", *command],
+            capture_output=True,
+            env={**env, **extra},
         )
         print(
+            *(f"{name}={value}" for name, value in extra.items()),
             " ".join(command),
             f"stdout={_sha256(run.stdout)}",
             f"stderr={_sha256(run.stderr)}",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -52,11 +53,22 @@ def code_lines(path: Path) -> int:
 
 def main() -> int:
     total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{path.stem:12} {count:5}")
-    print(f"{'total':12} {total:5}")
+    try:
+        for path in sorted(PACKAGE.glob("*.py")):
+            count = code_lines(path)
+            total += count
+            print(f"{path.stem:12} {count:5}")
+        print(f"{'total':12} {total:5}")
+        # Flush here, so that a closed pipe raises before main returns.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head -3` does.  Point stdout
+        # at devnull, as the CLI does, so the interpreter's final flush
+        # cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 
