@@ -70,12 +70,6 @@ class CyclicQuotient:
             )
 
 
-def _is_minimal(chain: Sequence[int]) -> bool:
-    # No (-1)-curve: every entry is >= 2.  True of the empty chain; False
-    # for a True entry, since True < 2.
-    return min(chain, default=2) >= 2
-
-
 class ResolutionChain(tuple):
     """A dual-graph chain: a tuple of minus-self-intersections, each >= 1.
 
@@ -110,7 +104,9 @@ def _check_minimal(chain: Sequence[int], what: str) -> None:
         for e in chain:
             if not isinstance(e, int):
                 raise InvalidChain(f"chain entries must be integers, got {e!r}")
-    if not _is_minimal(chain):
+    # No (-1)-curve: every entry is >= 2.  The empty chain is minimal; a
+    # True entry is not, since True < 2.
+    if min(chain, default=2) < 2:
         raise NonMinimalChain(f"{what} needs a minimal chain, got {tuple(chain)}")
 
 

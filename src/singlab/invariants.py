@@ -20,10 +20,10 @@ integers p, q and the chain, and checked there against the Dedekind-sum
 route of :mod:`singlab.eta` (eta = 4*s(q, p)), which reads neither the
 chain nor q^(-1;p): a wrong chain entry or a wrong inverse raises
 InternalCheckError.  A configuration of the pair adds the row
-(b2, c_num, label), with p*C = c_num; each contracted substring enters it
-as a hit (start, stop, b2 change, label), so a scan that puts one hit in
-many configurations computes those once.  Every row, of a scan or of a
-point query, is ``_row(p, pair, hits)``, the Artin row with no hits.
+(b2, c_num, label), with p*C = c_num, read from its contracted substrings,
+the ``ContractedInterval``s (hits) of ``find_type_t_substrings`` or of
+``configuration``.  Every row, of a scan or of a point query, is
+``_row(p, pair, hits)``, the Artin row with no hits.
 ``configuration_invariants`` turns one configuration into an
 ``InvariantReport``; it is the route for point queries and the CLI's point
 commands, and the reference for a scan, which builds its rows from pair
@@ -86,18 +86,8 @@ class ContractedInterval(NamedTuple):
     stop: int
     params: TypeTParams
 
-    @property
-    def length(self) -> int:
-        return self.stop - self.start + 1
-
     def label(self) -> str:
         return f"contract[{self.start}..{self.stop}]={self.params.label()}"
-
-
-def _hit(iv: ContractedInterval) -> tuple[int, int, int, str]:
-    # (start, stop, b2 change, label) of a contracted substring: its curves
-    # are traded for s - 1 classes of the smoothing.
-    return iv.start, iv.stop, iv.params.s - 1 - iv.length, iv.label()
 
 
 @dataclass(frozen=True)
@@ -140,14 +130,16 @@ def configuration(
     """Build a configuration contracting chain[a..b] for each (a, b).
 
     The intervals are taken in sorted order, and the contracted intervals
-    come back sorted by start.  Raises InvalidConfiguration if an interval is
-    out of bounds, the intervals overlap, or a substring is not a recognized
-    type-T chain; of several faulty intervals, the first in sorted order is
+    come back sorted by start.  Raises InvalidConfiguration if a bound is
+    not an int, an interval is out of bounds, the intervals overlap, or a
+    substring is not a recognized type-T chain; of several faulty intervals, the first in sorted order is
     reported.  Recognition is O(length) per substring.
     """
     chain = hj_resolve(g)
     contracted = []
     for a, b in sorted(intervals):
+        for bound in (a, b):
+            _check_int("interval bound", bound, error=InvalidConfiguration)
         if not (0 <= a <= b < len(chain)):
             raise InvalidConfiguration(
                 f"interval [{a}..{b}] out of bounds for chain of length {len(chain)}"
@@ -181,15 +173,16 @@ def _pair_record(p: int, q: int, chain: Sequence[int]) -> tuple:
     return q, chain, k, sum_e, q_inv, eta_num
 
 
-def _row(p: int, pair: tuple, hits: Sequence[tuple]) -> tuple[int, int, str]:
+def _row(p: int, pair: tuple, hits: Sequence[ContractedInterval]) -> tuple[int, int, str]:
     # (b2, c_num, label) of the configuration of a pair record with these
-    # hits contracted: p*C = c_num.  b2 is the chain length k plus each
-    # hit's b2 change.  The Artin label is a constant, so the most common
-    # row of a scan pays no join.
+    # hits contracted: p*C = c_num.  b2 is the chain length k, and each hit
+    # trades its stop - start + 1 curves for the s - 1 classes of its
+    # smoothing.  The Artin label is a constant, so the most common row of a
+    # scan pays no join.
     b2 = pair[2]
-    for hit in hits:
-        b2 += hit[2]
-    label = "+".join(hit[3] for hit in hits) if hits else "artin"
+    for start, stop, params in hits:
+        b2 += params.s - 2 - stop + start
+    label = "+".join(hit.label() for hit in hits) if hits else "artin"
     return b2, (2 - b2) * p + 2 - pair[5], label
 
 
@@ -222,7 +215,7 @@ def configuration_invariants(cfg: ResolutionConfiguration) -> InvariantReport:
     """
     p = cfg.quotient.p
     pair = _pair_record(p, cfg.quotient.q, cfg.chain)
-    return _report(p, pair, _row(p, pair, [_hit(iv) for iv in cfg.contracted]))
+    return _report(p, pair, _row(p, pair, cfg.contracted))
 
 
 def find_type_t_substrings(chain: Sequence[int]) -> list[ContractedInterval]:

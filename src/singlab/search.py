@@ -18,13 +18,13 @@ tracer test checks; the chain source is the only difference between the
 two.  Every row of a pair shares p, q, the chain, k, sum_e, q^(-1;p) and
 eta, so the unit computes them once per pair, as a pair record
 (q, chain, k, sum_e, q_inv, eta_num) whose eta numerator is checked
-against the Dedekind-sum eta there, once per pair.  Each hit's b2 change
-and label are computed once per pair too, so a row adds only
-(b2, c_num, label), and no report is built per row.  The unit sorts each
-pair's rows by label, so the order in which the subsets are found does not
-matter; it counts the rows generated, applies the ``--dedup-conjugate`` and
-``--positive`` filters, and turns the (p, pair, rows) records that are left
-into a part.
+against the Dedekind-sum eta there, once per pair.  A row adds only
+(b2, c_num, label), read from the pair record and its subset of the
+``ContractedInterval``s that the sweep returned, and no report is built
+per row.  The unit sorts each pair's rows by label, so the order in which
+the subsets are found does not matter; it counts the rows generated,
+applies the ``--dedup-conjugate`` and ``--positive`` filters, and turns
+the (p, pair, rows) records that are left into a part.
 For ``scan_pieces`` the part is that p's output already rendered by one of
 ``render.FORMATS`` into a str, so a worker process sends back text;
 ``render.stitch`` writes each part to an unnamed temporary file in $TMPDIR
@@ -61,7 +61,6 @@ from .chains import CyclicQuotient, ResolutionChain, _hj_chain
 from .errors import RowLimitExceeded, SinglabError, _check_int
 from .invariants import (
     InvariantReport,
-    _hit,
     _pair_record,
     _report,
     _row,
@@ -143,8 +142,7 @@ def _pair_rows(p: int, q: int, chain: ResolutionChain, cap: int) -> tuple[tuple,
     if cap:
         # The hits are disjoint within a subset and sorted by start, so each
         # subset is a valid configuration as it stands.
-        hits = [_hit(iv) for iv in find_type_t_substrings(chain)]
-        for chosen in _disjoint_subsets(hits, cap):
+        for chosen in _disjoint_subsets(find_type_t_substrings(chain), cap):
             rows.append(_row(p, pair, chosen))
         rows.sort(key=itemgetter(2))
     return pair, rows

@@ -89,7 +89,7 @@ def seed_chain(s: int) -> ResolutionChain:
 
 def grow_left(chain: Sequence[int]) -> ResolutionChain:
     """(e_1, ..., e_k) -> (2, e_1, ..., e_{k-1}, e_k + 1)."""
-    c = tuple(chain)
+    c = ResolutionChain(chain)
     if not c:
         raise SinglabError("cannot grow an empty chain")
     return ResolutionChain((2,) + c[:-1] + (c[-1] + 1,))
@@ -97,7 +97,7 @@ def grow_left(chain: Sequence[int]) -> ResolutionChain:
 
 def grow_right(chain: Sequence[int]) -> ResolutionChain:
     """(e_1, ..., e_k) -> (e_1 + 1, e_2, ..., e_k, 2)."""
-    c = tuple(chain)
+    c = ResolutionChain(chain)
     if not c:
         raise SinglabError("cannot grow an empty chain")
     return ResolutionChain((c[0] + 1,) + c[1:] + (2,))

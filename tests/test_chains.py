@@ -26,7 +26,7 @@ from singlab import (
     mod_inverse,
     non_minimal_graph,
 )
-from singlab.chains import _is_minimal
+from singlab.chains import _check_minimal
 
 
 def test_quotient_validation():
@@ -65,8 +65,14 @@ def test_chain_validation():
 
 
 def test_minimal_predicate_is_every_entry_at_least_2():
+    # _check_minimal raises exactly when some entry is below 2; the empty
+    # chain is minimal, and a bool entry is an int below 2.
     for chain in [(), (2,), (1,), (True,), (True, 3), (3, False), (3, 2, 2), (2, 1, 5)]:
-        assert _is_minimal(chain) is all(e >= 2 for e in chain)
+        if all(e >= 2 for e in chain):
+            _check_minimal(chain, "test")
+        else:
+            with pytest.raises(NonMinimalChain):
+                _check_minimal(chain, "test")
 
 
 def test_chain_unpickles_without_a_second_check(monkeypatch):

@@ -83,6 +83,10 @@ def test_configuration_validation():
     g3 = chain_to_quotient(ResolutionChain((4, 3, 4)))
     cfg = configuration(g3, [(2, 2), (0, 0)])
     assert [(iv.start, iv.stop) for iv in cfg.contracted] == [(0, 0), (2, 2)]
+    # a bound must be an int, not a float or a bool
+    for bounds in ((0.0, 1), (True, 1)):
+        with pytest.raises(InvalidConfiguration, match="interval bound must be an integer"):
+            configuration(CyclicQuotient(7, 3), [bounds])
 
 
 def test_multi_interval_label():

@@ -100,6 +100,10 @@ def test_grow_moves():
     for grow in (grow_left, grow_right):
         with pytest.raises(SinglabError, match="empty chain"):
             grow(())
+        # an entry must be an int >= 1, not a bool or a float
+        for chain in ([True], [True, 2], [2, True], [4.0]):
+            with pytest.raises(InvalidChain):
+                grow(chain)
 
 
 def test_strings_reachable_within_r_minus_2_moves():

@@ -35,6 +35,7 @@ POINT_COMMANDS = (
     ("family", "--curves", "2", "--r", "3", "--s", "1", "--d", "1"),
     ("invariants", "19", "7"),
     ("invariants", "8", "3", "--contract", "0..1"),
+    ("invariants", "15", "4", "--contract", "0..0", "--contract", "1..1"),
     ("eta", "9", "2", "--method", "both"),
     ("typet", "enumerate", "--r-max", "6", "--s-max", "3"),
     ("typet", "recognize", "5,2"),
