@@ -130,16 +130,22 @@ def configuration(
     """Build a configuration contracting chain[a..b] for each (a, b).
 
     The intervals are taken in sorted order, and the contracted intervals
-    come back sorted by start.  Raises InvalidConfiguration if a bound is
-    not an int, an interval is out of bounds, the intervals overlap, or a
-    substring is not a recognized type-T chain; of several faulty intervals, the first in sorted order is
+    come back sorted by start.  Raises InvalidConfiguration if an interval
+    is not a tuple or list of two ints, an interval is out of bounds, the
+    intervals overlap, or a substring is not a recognized type-T chain.
+    The shape and type checks run first, in the order given; of several
+    intervals that fail a later check, the first in sorted order is
     reported.  Recognition is O(length) per substring.
     """
+    intervals = list(intervals)  # read twice, so not a one-shot iterator
+    for interval in intervals:
+        if not isinstance(interval, (tuple, list)) or len(interval) != 2:
+            raise InvalidConfiguration(f"an interval must be a pair (a, b), got {interval!r}")
+        for bound in interval:
+            _check_int("interval bound", bound, error=InvalidConfiguration)
     chain = hj_resolve(g)
     contracted = []
-    for a, b in sorted(intervals):
-        for bound in (a, b):
-            _check_int("interval bound", bound, error=InvalidConfiguration)
+    for a, b in sorted(map(tuple, intervals)):
         if not (0 <= a <= b < len(chain)):
             raise InvalidConfiguration(
                 f"interval [{a}..{b}] out of bounds for chain of length {len(chain)}"
@@ -387,5 +393,4 @@ def theorem_tables(r_max: int = 20) -> list[InvariantReport]:
             # m (-2)-curves on its right, which gives the groups above.
             chain = graph(r)[::-1]
             rows.append(_contracted_report(chain, 0, len(chain) - 1 - m))
-    rows.sort(key=lambda row: (row.p, row.q, row.label))
-    return rows
+    return sorted(rows, key=lambda row: (row.p, row.q, row.label))

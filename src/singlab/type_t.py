@@ -60,10 +60,6 @@ class TypeTParams:
                 f"d must be invertible mod r, got (r, d) = ({self.r}, {self.d})"
             )
 
-    @property
-    def group_order(self) -> int:
-        return self.r * self.r * self.s
-
     def label(self) -> str:
         return f"T({self.r},{self.s},{self.d})"
 
@@ -223,7 +219,7 @@ def type_t_invariants(t: TypeTParams) -> TypeTInvariants:
     d in {1, r-1} give length r+s-2 and sum 3r+2s-4; T(5,1,2) has chain
     (3,5,2).  eta = (1/3)(3-s-2/(r^2 s)) and C = 4/(r^2 s) after smoothing
     the fully contracted singularity hold for every valid d."""
-    p = t.group_order
+    p = type_t_group(t).p
     pq_sum, a, b = 0, t.r, t.d
     while b:
         pq_sum += a // b

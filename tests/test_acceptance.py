@@ -14,9 +14,9 @@ import itertools
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
-from math import gcd
 
 from conftest import ACCEPTANCE_LINES
+from oracles import coprime_pairs, partial_quotient_sum, phi, valid_d
 
 from singlab import (
     AtNode,
@@ -65,17 +65,6 @@ def _cli(*argv):
     return code, buf.getvalue()
 
 
-def _coprime_pairs(p_max):
-    for p in range(2, p_max + 1):
-        for q in range(1, p):
-            if gcd(p, q) == 1:
-                yield p, q
-
-
-def _valid_d(r):
-    return [d for d in range(1, r) if gcd(r, d) == 1]
-
-
 def test_criterion_01_paper_value_reproduction():
     t0 = time.perf_counter()
     ok = _cli("resolve", "5", "2") == (0, "(3,2)\n")
@@ -92,7 +81,7 @@ def test_criterion_02a_type_t_eta_and_c_closed_forms():
     ok = True
     for r in range(2, 21):
         for s in range(1, 7):
-            for d in _valid_d(r):
+            for d in valid_d(r):
                 t = TypeTParams(r, s, d)
                 g = type_t_group(t)
                 ok &= eta_exact(g) == type_t_invariants(t).eta
@@ -107,22 +96,13 @@ def test_criterion_02a_type_t_eta_and_c_closed_forms():
     )
 
 
-def _pq_sum(r, d):
-    # sum of the regular continued-fraction partial quotients of r/d
-    total = 0
-    while d:
-        total += r // d
-        r, d = d, r % d
-    return total
-
-
 def test_criterion_02b_type_t_length_and_sum_closed_forms():
     t0 = time.perf_counter()
     bad = []
     total = 0
     for r in range(2, 21):
         for s in range(1, 7):
-            for d in _valid_d(r):
+            for d in valid_d(r):
                 total += 1
                 t = TypeTParams(r, s, d)
                 chain = type_t_string(t)
@@ -130,7 +110,7 @@ def test_criterion_02b_type_t_length_and_sum_closed_forms():
                 inv = type_t_invariants(t)
                 extremal = d in (1, r - 1)
                 stated = ln == r + s - 2 and sm == 3 * r + 2 * s - 4
-                law = s - 2 + _pq_sum(r, d)
+                law = s - 2 + partial_quotient_sum(r, d)
                 ok = ln == law and sm == 3 * law + 2 - s
                 ok &= (inv.length, inv.sum_e) == (ln, sm)
                 ok &= stated == extremal
@@ -165,7 +145,7 @@ def test_criterion_03_attachment_families():
     for m in (1, 2, 3):
         for r in range(2, 21):
             for s in range(1, 6):
-                for d in _valid_d(r):
+                for d in valid_d(r):
                     report, closed = attach_family(m, r, s, d)  # raises on mismatch
                     ok &= report.c_value == Fraction(4 - m * d * d * s, report.p)
                     if d == 1:
@@ -183,7 +163,7 @@ def test_criterion_03_attachment_families():
 def test_criterion_04_eta_oracle_agreement():
     t0 = time.perf_counter()
     worst = 0.0
-    for p, q in _coprime_pairs(200):
+    for p, q in coprime_pairs(200):
         g = CyclicQuotient(p, q)
         diff = abs(eta_cotangent(g) - float(eta_exact(g)))
         if diff > worst:
@@ -200,21 +180,17 @@ def test_criterion_04_eta_oracle_agreement():
 def test_criterion_05_round_trip_and_duality():
     t0 = time.perf_counter()
     ok = True
-    for p in range(2, 201):
-        chains = {}
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            chain = hj_resolve(CyclicQuotient(p, q))
-            chains[q] = chain
-            ok &= cf_eval(chain) == Fraction(q, p)
-        for q, chain in chains.items():
-            q_inv = mod_inverse(q, p)
-            ok &= chains[q_inv] == tuple(reversed(chain))
-            eta_q = Fraction(sum(chain) + Fraction(q_inv + q, p), 3) - len(chain)
-            dual = chains[q_inv]
-            eta_dual = Fraction(sum(dual) + Fraction(q + q_inv, p), 3) - len(dual)
-            ok &= eta_q == eta_dual
+    chains = {}
+    for p, q in coprime_pairs(200):
+        chain = chains[p, q] = hj_resolve(CyclicQuotient(p, q))
+        ok &= cf_eval(chain) == Fraction(q, p)
+    for (p, q), chain in chains.items():
+        q_inv = mod_inverse(q, p)
+        ok &= chains[p, q_inv] == tuple(reversed(chain))
+        eta_q = Fraction(sum(chain) + Fraction(q_inv + q, p), 3) - len(chain)
+        dual = chains[p, q_inv]
+        eta_dual = Fraction(sum(dual) + Fraction(q + q_inv, p), 3) - len(dual)
+        ok &= eta_q == eta_dual
     _report(
         "5 (round trip, reversal duality, eta symmetry, p <= 200)",
         ok,
@@ -234,10 +210,6 @@ def test_criterion_06_su2_series():
     _report("6 (A-series C = 4/p, p <= 100)", ok, time.perf_counter() - t0, 1.0)
 
 
-def _phi(n):
-    return sum(1 for d in range(1, n + 1) if gcd(n, d) == 1)
-
-
 def test_criterion_07_type_t_enumeration_and_recognition():
     t0 = time.perf_counter()
     ok = True
@@ -250,7 +222,7 @@ def test_criterion_07_type_t_enumeration_and_recognition():
         ok &= type_t_string(params) == chain
     for r in range(2, 13):
         for s in range(1, 7):
-            ok &= cells.get((r, s), 0) == _phi(r)
+            ok &= cells.get((r, s), 0) == phi(r)
     # exhaustive sweep: recognize_type_t raises if the two methods disagree
     count = 0
     for k in range(1, 7):

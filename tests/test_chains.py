@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from oracles import cf_terms, coprime_pairs
 from singlab import (
     AtNode,
     CyclicQuotient,
@@ -119,11 +120,9 @@ def _ceiling_chain(p, q, cap):
 
 
 def test_hj_resolve_matches_the_ceiling_recursion():
-    for p in range(2, 401):
-        for q in range(1, p):
-            if gcd(p, q) == 1:
-                chain = hj_resolve(CyclicQuotient(p, q))
-                assert chain == _ceiling_chain(p, q, p), (p, q)
+    for p, q in coprime_pairs(400):
+        chain = hj_resolve(CyclicQuotient(p, q))
+        assert chain == _ceiling_chain(p, q, p), (p, q)
     for length in (1, 2, 3, 1000, 100_000):
         chain = hj_resolve(CyclicQuotient(length + 1, length))
         assert chain == _ceiling_chain(length + 1, length, length) == (2,) * length
@@ -137,20 +136,14 @@ def test_hj_resolve_matches_the_ceiling_recursion_at_large_p(p, q0):
     assume(q != 0 and gcd(p, q) == 1)
     # The chain has about as many entries as the even-position terms of
     # the regular continued fraction add up to; keep it short.
-    terms, a, b = [], p, q
-    while b:
-        terms.append(a // b)
-        a, b = b, a % b
-    assume(sum(terms[1::2]) <= 10**5)
+    assume(sum(cf_terms(p, q)[1::2]) <= 10**5)
     chain = hj_resolve(CyclicQuotient(p, q))
     assert chain == _ceiling_chain(p, q, len(chain))
 
 
 def test_hj_resolve_is_minimal():
-    for p in range(2, 80):
-        for q in range(1, p):
-            if gcd(p, q) == 1:
-                assert all(e >= 2 for e in hj_resolve(CyclicQuotient(p, q)))
+    for p, q in coprime_pairs(79):
+        assert all(e >= 2 for e in hj_resolve(CyclicQuotient(p, q)))
 
 
 def test_chain_to_quotient_examples():
@@ -171,12 +164,9 @@ def test_chain_to_quotient_rejects_non_minimal():
 
 
 def test_round_trip():
-    for p in range(2, 101):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            g = CyclicQuotient(p, q)
-            assert chain_to_quotient(hj_resolve(g)) == g
+    for p, q in coprime_pairs(100):
+        g = CyclicQuotient(p, q)
+        assert chain_to_quotient(hj_resolve(g)) == g
 
 
 def test_reverse_examples():
@@ -188,13 +178,10 @@ def test_reverse_examples():
 
 
 def test_reversal_duality():
-    for p in range(2, 121):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            g = CyclicQuotient(p, q)
-            dual = CyclicQuotient(p, mod_inverse(q, p))
-            assert hj_resolve(dual) == ResolutionChain(reversed(hj_resolve(g)))
+    for p, q in coprime_pairs(120):
+        g = CyclicQuotient(p, q)
+        dual = CyclicQuotient(p, mod_inverse(q, p))
+        assert hj_resolve(dual) == ResolutionChain(reversed(hj_resolve(g)))
 
 
 def test_blow_up_on_curve():
@@ -222,6 +209,8 @@ def test_blow_up_site_validation():
         blow_up(ResolutionChain((3, 2)), OnCurve(0, "right"))
     with pytest.raises(InvalidSite):
         OnCurve(0, "up")
+    with pytest.raises(SinglabError, match="^unknown blow-up site 'left'$"):
+        blow_up(ResolutionChain((2, 3)), "left")
     # An index is an int >= 0, not a float or a bool.
     with pytest.raises(IndexOutOfRange, match="must be an integer"):
         blow_up((3, 2), AtNode(0.0))

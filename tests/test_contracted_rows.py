@@ -12,8 +12,8 @@ p, and the largest e that keeps p <= p_max follows from the bound, so a
 depth-first walk from each X visits only chains it yields: first every R,
 then every L.
 
-The tests compare the generated rows with the scan's, count the hits of one
-p against find_type_t_substrings, and check the identity
+The tests compare the generated rows with the scan's, count the hits of
+two primes p against find_type_t_substrings, and check the identity
 
     p*C = (1 - sum over L and R of (e - 2))*p + 2 - q - q^(-1;p)
 
@@ -23,8 +23,8 @@ resolve of (p, q).
 """
 
 from collections import Counter
-from math import gcd, isqrt
 
+from oracles import c_num_identity, matrix, type_t_params
 from singlab import (
     CyclicQuotient,
     SearchQuery,
@@ -39,22 +39,10 @@ from singlab import (
 )
 
 
-def _strings(p_max):
-    # (t, its T-string) of every T(r,s,d) with r^2 s <= p_max.
-    for s in range(1, p_max // 4 + 1):
-        for r in range(2, isqrt(p_max // s) + 1):
-            for d in range(1, r):
-                if gcd(r, d) == 1:
-                    t = TypeTParams(r, s, d)
-                    yield t, type_t_string(t)
-
-
 def _with_rights(x, p_max):
     # (p, q, excess) of X + R for every chain R with p <= p_max, where
     # excess is the sum of (e - 2) over R.
-    a, b, c, d = 1, 0, 0, 1
-    for e in x:
-        a, b, c, d = e * a + b, -a, e * c + d, -c
+    (a, b), (c, d) = matrix(x)
     stack = [(a, b, c, d, 0)]
     while stack:
         a, b, c, d, excess = stack.pop()
@@ -67,7 +55,9 @@ def _contracted_rows(p_max):
     # (p, q, label, excess) of every chain L + X + R with p <= p_max, with
     # the label of the row that contracts X and excess the sum of (e - 2)
     # over L and R.
-    for t, x in _strings(p_max):
+    for params in type_t_params(p_max):
+        t = TypeTParams(*params)
+        x = type_t_string(t)
         name = t.label()
         for p, q, excess in _with_rights(x, p_max):
             stack = [(p, q, 0, excess)]
@@ -94,12 +84,14 @@ def test_generated_rows_are_the_scans_contracted_rows():
 
 
 def test_generated_hits_of_one_p_are_the_sweeps():
-    p = 997  # a prime, so every q is coprime to it
-    generated = sum(1 for row in _contracted_rows(p) if row[0] == p)
-    swept = sum(
-        len(find_type_t_substrings(hj_resolve(CyclicQuotient(p, q)))) for q in range(1, p)
-    )
-    assert generated == swept > 0
+    # Primes, so every q is coprime to p.  The hits are counted, not stored:
+    # the walk to p_max 1999 yields about 2.3 million rows.
+    for p in (997, 1999):
+        generated = sum(1 for row in _contracted_rows(p) if row[0] == p)
+        swept = sum(
+            len(find_type_t_substrings(hj_resolve(CyclicQuotient(p, q)))) for q in range(1, p)
+        )
+        assert generated == swept > 0
 
 
 def test_generated_rows_satisfy_the_identity():
@@ -109,4 +101,4 @@ def test_generated_rows_satisfy_the_identity():
         start, stop = map(int, interval.split(".."))
         report = configuration_invariants(configuration(CyclicQuotient(p, q), [(start, stop)]))
         assert report.label == label
-        assert report.c_value * p == (1 - excess) * p + 2 - q - pow(q, -1, p), (p, q, label)
+        assert report.c_value * p == c_num_identity(p, q, 1, excess), (p, q, label)

@@ -4,6 +4,7 @@ from operator import mul
 
 from hypothesis import assume, given, strategies as st
 
+from oracles import coprime_pairs, partial_quotient_sum, valid_d
 from singlab import (
     CyclicQuotient,
     TypeTParams,
@@ -36,22 +37,16 @@ def test_eta_cotangent_examples():
 
 
 def test_oracle_agreement_small():
-    for p in range(2, 80):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            g = CyclicQuotient(p, q)
-            assert abs(eta_cotangent(g) - float(eta_exact(g))) < 1e-9
+    for p, q in coprime_pairs(79):
+        g = CyclicQuotient(p, q)
+        assert abs(eta_cotangent(g) - float(eta_exact(g))) < 1e-9
 
 
 def test_inverse_symmetry_small():
-    for p in range(2, 80):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            assert eta_exact(CyclicQuotient(p, q)) == eta_exact(
-                CyclicQuotient(p, mod_inverse(q, p))
-            )
+    for p, q in coprime_pairs(79):
+        assert eta_exact(CyclicQuotient(p, q)) == eta_exact(
+            CyclicQuotient(p, mod_inverse(q, p))
+        )
 
 
 def test_type_t_closed_form_examples():
@@ -64,35 +59,24 @@ def test_type_t_closed_form_examples():
 def test_type_t_closed_form_matches_eta_exact():
     for r in range(2, 13):
         for s in range(1, 5):
-            for d in range(1, r):
-                if gcd(r, d) != 1:
-                    continue
+            for d in valid_d(r):
                 t = TypeTParams(r, s, d)
                 assert eta_exact(type_t_group(t)) == type_t_invariants(t).eta
 
 
-def _partial_quotient_sum(p, q):
-    # a_1 + ... + a_n of q/p = [0; a_1, ..., a_n], which bounds the length
-    # of the minimal resolution chain of (p, q)
-    total = 0
-    while q:
-        total += p // q
-        p, q = q, p % q
-    return total
-
-
 @st.composite
-def _coprime_pairs(draw):
+def _large_coprime_pairs(draw):
     p = draw(st.integers(2, 10**12))
     q = draw(st.integers(1, p - 1))
     assume(gcd(p, q) == 1)
     return p, q
 
 
-@given(_coprime_pairs())
+@given(_large_coprime_pairs())
 def test_eta_exact_matches_chain_sums_at_large_p(pair):
-    # q = p - 1 resolves to p - 1 entries, so keep the chains short
-    assume(_partial_quotient_sum(*pair) <= 2000)
+    # q = p - 1 resolves to p - 1 entries, so keep the chains short; the
+    # partial-quotient sum bounds the chain length
+    assume(partial_quotient_sum(*pair) <= 2000)
     g = CyclicQuotient(*pair)
     report = configuration_invariants(artin_configuration(g))
     eta = eta_exact(g)
@@ -101,7 +85,7 @@ def test_eta_exact_matches_chain_sums_at_large_p(pair):
     assert chain_to_quotient(report.chain) == g
 
 
-@given(_coprime_pairs())
+@given(_large_coprime_pairs())
 def test_eta_exact_reversal_duality_at_large_p(pair):
     p, q = pair
     assert eta_exact(CyclicQuotient(p, q)) == eta_exact(
@@ -129,10 +113,8 @@ def test_eta_num_matches_the_sawtooth_dedekind_sum():
     # A third route with no floats and no reciprocity law: eta = 4 s(q, p),
     # so 3p*eta = 3S/p.  Every coprime pair with p <= 200, then four q at
     # two primes near 10^6.
-    for p in range(2, 201):
-        for q in range(1, p):
-            if gcd(p, q) == 1:
-                assert _eta_num(p, q) * p == 3 * _sawtooth_sum(p, q)
+    for p, q in coprime_pairs(200):
+        assert _eta_num(p, q) * p == 3 * _sawtooth_sum(p, q)
     for p in (1_000_003, 999_983):
         for q in (1, p - 1, p // 2, 314_159):
             assert _eta_num(p, q) * p == 3 * _sawtooth_sum(p, q)

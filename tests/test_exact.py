@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import coprime_pairs, valid_d
 from singlab import (
     CyclicQuotient,
     DivisionByZero,
@@ -73,9 +74,7 @@ def test_inverse_of_type_t_weight():
     # the inverse of rsd-1 modulo r^2*s is rs(r-d)-1, for every valid d
     for r in range(2, 21):
         for s in range(1, 7):
-            for d in range(1, r):
-                if gcd(r, d) != 1:
-                    continue
+            for d in valid_d(r):
                 assert mod_inverse(r * s * d - 1, r * r * s) == r * s * (r - d) - 1
 
 
@@ -108,11 +107,8 @@ def test_cf_eval_non_minimal_chains_are_legal():
 
 
 def test_cf_round_trip_small():
-    for p in range(2, 61):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            assert cf_eval(hj_resolve(CyclicQuotient(p, q))) == Fraction(q, p)
+    for p, q in coprime_pairs(60):
+        assert cf_eval(hj_resolve(CyclicQuotient(p, q))) == Fraction(q, p)
 
 
 def test_decimal_str():

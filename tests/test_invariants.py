@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from oracles import chain_length, coprime_pairs, valid_d
 from singlab import (
     CyclicQuotient,
     InternalCheckError,
@@ -31,6 +32,7 @@ from singlab import (
     invariants,
     recognize_type_t,
     theorem_tables,
+    type_t_group,
     type_t_string,
 )
 from singlab.type_t import _params_of_pair
@@ -87,6 +89,17 @@ def test_configuration_validation():
     for bounds in ((0.0, 1), (True, 1)):
         with pytest.raises(InvalidConfiguration, match="interval bound must be an integer"):
             configuration(CyclicQuotient(7, 3), [bounds])
+    # an interval must be a tuple or list of two ints, checked before the
+    # intervals are sorted
+    with pytest.raises(InvalidConfiguration, match="interval bound must be an integer"):
+        configuration(CyclicQuotient(7, 3), [(0, 0), ("a", 1)])
+    for malformed in ((0, 0, 0), (0,), 5, None):
+        with pytest.raises(InvalidConfiguration, match="an interval must be a pair"):
+            configuration(CyclicQuotient(7, 3), [malformed])
+    # a list and a tuple sort together, and a one-shot iterator is read once
+    cfg = configuration(g3, [[2, 2], (0, 0)])
+    assert [(iv.start, iv.stop) for iv in cfg.contracted] == [(0, 0), (2, 2)]
+    assert configuration(g3, iter([(0, 0)])).contracted == ((0, 0, TypeTParams(2, 1, 1)),)
 
 
 def test_multi_interval_label():
@@ -99,13 +112,10 @@ def test_multi_interval_label():
 
 
 def test_c_identity_sweep():
-    for p in range(2, 60):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            report = _artin_report(p, q)
-            assert report.c_value == 2 - report.b2 + Fraction(2, p) - 3 * report.eta
-            assert report.positive == (report.c_value > 0)
+    for p, q in coprime_pairs(59):
+        report = _artin_report(p, q)
+        assert report.c_value == 2 - report.b2 + Fraction(2, p) - 3 * report.eta
+        assert report.positive == (report.c_value > 0)
 
 
 def test_eta_check_catches_a_wrong_chain_or_inverse(monkeypatch):
@@ -133,16 +143,13 @@ def test_find_type_t_substrings():
     for a, b, params in find_type_t_substrings((3, 2, 4, 2, 4)):
         assert chain_to_quotient(
             ResolutionChain((3, 2, 4, 2, 4)[a : b + 1])
-        ) == CyclicQuotient(params.group_order, params.r * params.s * params.d - 1)
+        ) == type_t_group(params)
     # the sweep and recognize_type_t share one arithmetic test; on every
     # minimal chain with p <= 60 they agree interval by interval (and
     # recognize_type_t also runs the peeling check on each substring)
-    for p in range(2, 61):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            chain = hj_resolve(CyclicQuotient(p, q))
-            assert find_type_t_substrings(chain) == _sweep_by_recognition(chain)
+    for p, q in coprime_pairs(60):
+        chain = hj_resolve(CyclicQuotient(p, q))
+        assert find_type_t_substrings(chain) == _sweep_by_recognition(chain)
 
 
 def test_find_type_t_substrings_needs_minimal_chain():
@@ -228,21 +235,10 @@ def test_find_type_t_substrings_on_runs_of_twos():
                 assert found == []
 
 
-def _chain_length(p, q):
-    # len(hj_resolve(CyclicQuotient(p, q))) from the regular continued
-    # fraction, without building the chain: q = p - 1 alone has p - 1
-    # entries, 8 GB at p = 10**9.  See hj_resolve for the entry counts.
-    terms, a, b = [], p, q
-    while b:
-        terms.append(a // b)
-        a, b = b, a % b
-    return len(terms[::2]) + sum(t - 1 for t in terms[1::2])
-
-
 @given(st.integers(2, 10**9), st.integers(1, 10**9))
 def test_find_type_t_substrings_matches_bracket_sweep(p, q0):
     q = q0 % p
-    assume(q != 0 and gcd(p, q) == 1 and _chain_length(p, q) <= 200)
+    assume(q != 0 and gcd(p, q) == 1 and chain_length(p, q) <= 200)
     chain = hj_resolve(CyclicQuotient(p, q))
     assert find_type_t_substrings(chain) == _sweep_by_bracket(chain)
 
@@ -321,9 +317,7 @@ def test_attach_family_closed_forms_grid():
     for m in (1, 2, 3):
         for r in range(2, 11):
             for s in range(1, 5):
-                for d in range(1, r):
-                    if gcd(r, d) != 1:
-                        continue
+                for d in valid_d(r):
                     report, closed = attach_family(m, r, s, d)
                     assert report.p == m + m * d * r * s + r * r * s
                     assert report.eta == closed.eta
@@ -352,9 +346,7 @@ def test_attach_family_positive_exactly_for_the_five_families():
     for m in range(1, 9):
         for r in range(2, 14):
             for s in range(1, 6):
-                for d in range(1, r):
-                    if gcd(r, d) != 1:
-                        continue
+                for d in valid_d(r):
                     report, _ = attach_family(m, r, s, d)  # raises on mismatch
                     assert report.positive == ((m, s, d) in positive)
 
@@ -369,9 +361,7 @@ def test_positivity_boundaries():
     for m in (1, 2, 3):
         for r in range(3, 11):
             for s in range(1, 4):
-                for d in range(2, r):
-                    if gcd(r, d) != 1:
-                        continue
+                for d in valid_d(r)[1:]:  # d >= 2
                     report, _ = attach_family(m, r, s, d)
                     assert not report.positive
 

@@ -45,10 +45,10 @@ find_type_t_substrings.
 
 from collections import Counter
 from itertools import count
-from math import gcd, isqrt
 
 import pytest
 
+from oracles import matrix, type_t_params, valid_d
 from singlab import (
     SearchQuery,
     TypeTParams,
@@ -66,21 +66,12 @@ _SPORADIC = ((3, 1), (5, 2), (5, 3), (7, 3), (7, 5))
 _FAMILIES = ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1))
 
 
-def _quotient(chain):
-    # (p, q) of a chain with p/q = e_1 - 1/(e_2 - ...): the first column of
-    # the product of the matrices ((e, -1), (1, 0)).
-    p, q = 1, 0
-    for e in reversed(chain):
-        p, q = e * p - q, p
-    return p, q
-
-
 def _contracted(t, a=0, b=0):
     # (p, q, label) of the chain 2^a + (the T-string of t) + 2^b with the
     # T-string contracted.
     x = type_t_string(t)
-    chain = (2,) * a + x + (2,) * b
-    return (*_quotient(chain), f"contract[{a}..{a + len(x) - 1}]={t.label()}")
+    (p, _), (q, _) = matrix((2,) * a + x + (2,) * b)
+    return p, q, f"contract[{a}..{a + len(x) - 1}]={t.label()}"
 
 
 def _positive_rows(p_max, mode):
@@ -89,11 +80,7 @@ def _positive_rows(p_max, mode):
     rows += [(p, q, "artin") for p, q in _SPORADIC if p <= p_max]
     if mode == "artin-only":
         return rows
-    for s in range(1, p_max // 4 + 1):
-        for r in range(2, isqrt(p_max // s) + 1):
-            for d in range(1, r):
-                if gcd(r, d) == 1:
-                    rows.append(_contracted(TypeTParams(r, s, d)))
+    rows += [_contracted(TypeTParams(*params)) for params in type_t_params(p_max)]
     for m, s in _FAMILIES:
         # p = m + m*r*s + r^2*s grows with r, and the two sides share it.
         for r in count(2):
@@ -130,9 +117,7 @@ def test_closed_forms_on_their_grids():
     cases = 0
     for r in range(2, 12):
         for s in range(1, 5):
-            for d in range(1, r):
-                if gcd(r, d) != 1:
-                    continue
+            for d in valid_d(r):
                 t = TypeTParams(r, s, d)
                 x = type_t_string(t)
                 for a in range(5):

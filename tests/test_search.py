@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from oracles import c_num_identity, chain_length, coprime_pairs
 from singlab import (
     CyclicQuotient,
     InternalCheckError,
@@ -354,15 +355,12 @@ def test_disjoint_subsets_match_the_reference():
     # At cap 3 they are the 15 779 contracted rows of a multi-contraction
     # scan at p_max 200.
     total = 0
-    for p in range(2, 201):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            hits = find_type_t_substrings(chains._hj_chain(p, q))
-            for cap in (1, 2, 3):
-                expected = sorted(_reference_subsets(hits, cap))
-                assert sorted(_disjoint_subsets(hits, cap)) == expected
-            total += len(expected)
+    for p, q in coprime_pairs(200):
+        hits = find_type_t_substrings(chains._hj_chain(p, q))
+        for cap in (1, 2, 3):
+            expected = sorted(_reference_subsets(hits, cap))
+            assert sorted(_disjoint_subsets(hits, cap)) == expected
+        total += len(expected)
     assert total == 15_779
 
 
@@ -383,37 +381,21 @@ def test_scan_rows_match_the_validating_builder():
     # The scan builds each contracted configuration from the sweep's hits;
     # configuration() re-resolves the chain, checks bounds and overlaps and
     # re-recognises every substring, so it is the reference for those rows.
-    for p in range(2, 61):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            g = CyclicQuotient(p, q)
-            chain = hj_resolve(g)
-            for chosen in _disjoint_subsets(find_type_t_substrings(chain), 3):
-                built = ResolutionConfiguration(g, chain, tuple(chosen))
-                assert built == configuration(g, [(iv.start, iv.stop) for iv in chosen])
+    for p, q in coprime_pairs(60):
+        g = CyclicQuotient(p, q)
+        chain = hj_resolve(g)
+        for chosen in _disjoint_subsets(find_type_t_substrings(chain), 3):
+            built = ResolutionConfiguration(g, chain, tuple(chosen))
+            assert built == configuration(g, [(iv.start, iv.stop) for iv in chosen])
     # The scan's rows come from one pair record per pair, not from
     # configuration_invariants, which is the reference for every row.
     for mode, cap in {"artin-only": 0, "single-contraction": 1, "multi-contraction": 3}.items():
         expected = [
             report
-            for p in range(2, 61)
-            for q in range(1, p)
-            if gcd(p, q) == 1
+            for p, q in coprime_pairs(60)
             for report in _builder_reports(CyclicQuotient(p, q), cap)
         ]
         assert scan(SearchQuery(p_max=60, mode=mode)) == expected
-
-
-def _chain_length(p, q):
-    # len(hj_resolve(CyclicQuotient(p, q))) from the regular continued
-    # fraction, without building the chain: q = p - 1 alone has p - 1
-    # entries, 8 GB at p = 10**9.  See hj_resolve for the entry counts.
-    terms, a, b = [], p, q
-    while b:
-        terms.append(a // b)
-        a, b = b, a % b
-    return len(terms[::2]) + sum(t - 1 for t in terms[1::2])
 
 
 @given(st.integers(2, 10**9), st.integers(1, 10**9))
@@ -421,7 +403,7 @@ def test_scan_rows_match_the_validating_builder_at_large_p(p, q0):
     # The same reference past the p <= 60 window: recognition is linear in
     # the substring length, so configuration() keeps up at any p.
     q = q0 % p
-    assume(q != 0 and gcd(p, q) == 1 and _chain_length(p, q) <= 200)
+    assume(q != 0 and gcd(p, q) == 1 and chain_length(p, q) <= 200)
     g = CyclicQuotient(p, q)
     chain = hj_resolve(g)
     for chosen in _disjoint_subsets(find_type_t_substrings(chain), 3):
@@ -498,7 +480,7 @@ def test_only_scan_builds_a_quotient_and_a_configuration_per_pair(monkeypatch):
 
     monkeypatch.setattr(CyclicQuotient, "__post_init__", counted_post_init)
     monkeypatch.setattr(search, "artin_configuration", counted_artin)
-    pairs = [(p, q) for p in range(2, 31) for q in range(1, p) if gcd(p, q) == 1]
+    pairs = list(coprime_pairs(30))
     for mode in MODES:
         query = SearchQuery(p_max=30, mode=mode)
         for fmt in FORMATS:
@@ -521,7 +503,7 @@ def test_scan_runs_the_dedekind_sum_once_per_pair(monkeypatch):
         return true_eta_num(p, q)
 
     monkeypatch.setattr(invariants, "_eta_num", counted)
-    pairs = [(p, q) for p in range(2, 31) for q in range(1, p) if gcd(p, q) == 1]
+    pairs = list(coprime_pairs(30))
     for mode in MODES:
         query = SearchQuery(p_max=30, mode=mode)
         calls.clear()
@@ -652,28 +634,23 @@ def test_renderers_match_the_report_based_reference(mode, filters):
 _SPAN = re.compile(r"contract\[(\d+)\.\.(\d+)\]")
 
 
-def _c_num_from_the_chain(p, q, chain, label):
-    # p*C of the row with this label, by a route that reads the chain and
-    # q^(-1;p) but not eta: with h contracted hits and out the entries
-    # outside them, p*C = (2 - h - sum_out (e - 2))*p + 2 - q - q^(-1;p).
-    # It follows from c_num = (2 - b2)*p + 2 - 3*p*eta, the b2 rule and each
-    # T-string's sum law sum(e) = 3L + 2 - s (Kollar--Shepherd-Barron 1988).
+def _hits_and_excess(chain, label):
+    # The number of hits the row with this label contracts, and the sum of
+    # (e - 2) over the chain entries outside them: the arguments of
+    # c_num_identity, which reads the chain and q^(-1;p) but not eta.
     spans = [(int(a), int(b)) for a, b in _SPAN.findall(label)]
     inside = {i for a, b in spans for i in range(a, b + 1)}
-    excess = sum(e - 2 for i, e in enumerate(chain) if i not in inside)
-    return (2 - len(spans) - excess) * p + 2 - q - pow(q, -1, p)
+    return len(spans), sum(e - 2 for i, e in enumerate(chain) if i not in inside)
 
 
 def test_every_row_satisfies_the_chain_identity():
     # Every row of every coprime pair with p <= 200 at cap 3.
     count = 0
-    for p in range(2, 201):
-        for q in range(1, p):
-            if gcd(p, q) == 1:
-                chain = chains._hj_chain(p, q)
-                for _, c_num, label in _pair_rows(p, q, chain, 3)[1]:
-                    assert c_num == _c_num_from_the_chain(p, q, chain, label)
-                    count += 1
+    for p, q in coprime_pairs(200):
+        chain = chains._hj_chain(p, q)
+        for _, c_num, label in _pair_rows(p, q, chain, 3)[1]:
+            assert c_num == c_num_identity(p, q, *_hits_and_excess(chain, label))
+            count += 1
     assert count == 12_231 + 15_779  # the Artin rows and the cap-3 subsets
 
 
@@ -685,13 +662,13 @@ def test_pair_rows_render_as_the_reference_at_large_p(p, q0):
     # One pair's record and rows, through each part renderer, give the bytes
     # the report-based reference gives for the builder's reports.
     q = q0 % p
-    assume(q != 0 and gcd(p, q) == 1 and _chain_length(p, q) <= 200)
+    assume(q != 0 and gcd(p, q) == 1 and chain_length(p, q) <= 200)
     expected = _builder_reports(CyclicQuotient(p, q), 3)
     # scan_pieces' chain source and scan()'s give the same record and rows.
     pair, rows = _pair_rows(p, q, chains._hj_chain(p, q), 3)
     assert _pair_rows(p, q, search._artin_chain(p, q), 3) == (pair, rows)
     for _, c_num, label in rows:
-        assert c_num == _c_num_from_the_chain(p, q, pair[1], label)
+        assert c_num == c_num_identity(p, q, *_hits_and_excess(pair[1], label))
     assert [invariants._report(p, pair, row) for row in rows] == expected
     for fmt, (reference, render) in REFERENCE_RENDER.items():
         part = FORMATS[fmt][0]

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from oracles import partial_quotient_sum, phi, valid_d
 from singlab import (
     CyclicQuotient,
     InternalCheckError,
@@ -25,20 +26,7 @@ from singlab import (
     type_t_invariants,
     type_t_string,
 )
-from singlab.type_t import _peel_to_seed
-
-
-def _phi(n):
-    return sum(1 for d in range(1, n + 1) if gcd(n, d) == 1)
-
-
-def _pq_sum(r, d):
-    # sum of the regular continued-fraction partial quotients of r/d
-    total = 0
-    while d:
-        total += r // d
-        r, d = d, r % d
-    return total
+from singlab.type_t import _params_of_pair, _peel_to_seed
 
 
 def _conjugate(t):
@@ -63,7 +51,7 @@ def test_params_validation_and_canonicalization():
             TypeTParams(*typed)
     assert TypeTParams(3, 1, 4) == TypeTParams(3, 1, 1)
     assert TypeTParams(3, 1, 5).d == 2
-    assert TypeTParams(3, 2, 1).group_order == 18
+    assert type_t_group(TypeTParams(3, 2, 1)).p == 18
     assert TypeTParams(3, 1, 2).label() == "T(3,1,2)"
 
 
@@ -115,9 +103,8 @@ def test_strings_reachable_within_r_minus_2_moves():
             for _ in range(r - 2):
                 level = {m for c in level for m in (tuple(grow_left(c)), tuple(grow_right(c)))}
                 seen |= level
-            for d in range(1, r):
-                if gcd(r, d) == 1:
-                    assert tuple(type_t_string(TypeTParams(r, s, d))) in seen
+            for d in valid_d(r):
+                assert tuple(type_t_string(TypeTParams(r, s, d))) in seen
 
 
 def test_string_length_law():
@@ -125,11 +112,9 @@ def test_string_length_law():
     # d = 1 and d = r-1 are exactly the chains of length r + s - 2
     for r in range(2, 13):
         for s in range(1, 4):
-            for d in range(1, r):
-                if gcd(r, d) != 1:
-                    continue
+            for d in valid_d(r):
                 chain = type_t_string(TypeTParams(r, s, d))
-                assert len(chain) == s - 2 + _pq_sum(r, d)
+                assert len(chain) == s - 2 + partial_quotient_sum(r, d)
                 assert sum(chain) == 3 * len(chain) + 2 - s
                 if d in (1, r - 1):
                     assert len(chain) == r + s - 2
@@ -164,7 +149,7 @@ def test_enumerate_counts_and_round_trip():
             assert type_t_string(params) == chain
         assert set(cells) == {(r, s) for r in range(2, r_max + 1) for s in range(1, 4)}
         for cell in cells.values():
-            assert len(cell) == _phi(cell[0][0].r)
+            assert len(cell) == phi(cell[0][0].r)
 
 
 def test_enumerate_children_have_larger_r():
@@ -203,6 +188,8 @@ def test_recognize_examples():
     assert recognize_type_t(ResolutionChain(())) is None
     assert recognize_type_t(ResolutionChain((3, 5, 2))) == TypeTParams(5, 1, 2)
     assert _peel_to_seed(()) is None
+    # 7/16 with s = 1 gives r = 4 and d = 2, which shares a factor with r
+    assert _params_of_pair(7, 16, 1) is None
 
 
 @st.composite
@@ -250,6 +237,17 @@ def test_recognizer_disagreement_raises(monkeypatch):
         recognize_type_t(ResolutionChain((4,)))
 
 
+def test_enumerate_checks_each_recognized_chain(monkeypatch):
+    # Every chain of the grow tree is recognised, and a chain that does not
+    # recognise as type T with the seed's s raises.
+    monkeypatch.setattr("singlab.type_t.recognize_type_t", lambda chain: None)
+    with pytest.raises(InternalCheckError, match="does not recognize"):
+        enumerate_type_t(2, 1)
+    monkeypatch.setattr("singlab.type_t.recognize_type_t", lambda chain: TypeTParams(2, 2, 1))
+    with pytest.raises(InternalCheckError, match="with s=1"):
+        enumerate_type_t(2, 1)
+
+
 def test_type_t_invariants_examples():
     inv = type_t_invariants(TypeTParams(3, 1, 1))
     assert (inv.length, inv.sum_e) == (2, 7)
@@ -281,11 +279,10 @@ def test_type_t_invariants_examples():
     # conjugate parameters name the same singularity with the chain reversed
     for r in range(2, 13):
         for s in range(1, 5):
-            for d in range(1, r):
-                if gcd(r, d) == 1:
-                    t = TypeTParams(r, s, d)
-                    inv, inv_c = type_t_invariants(t), type_t_invariants(_conjugate(t))
-                    assert (inv.length, inv.sum_e) == (inv_c.length, inv_c.sum_e)
+            for d in valid_d(r):
+                t = TypeTParams(r, s, d)
+                inv, inv_c = type_t_invariants(t), type_t_invariants(_conjugate(t))
+                assert (inv.length, inv.sum_e) == (inv_c.length, inv_c.sum_e)
 
 
 def test_conjugate():
