@@ -20,10 +20,11 @@ integers p, q and the chain, and checked there against the Dedekind-sum
 route of :mod:`singlab.eta` (eta = 4*s(q, p)), which reads neither the
 chain nor q^(-1;p): a wrong chain entry or a wrong inverse raises
 InternalCheckError.  A configuration of the pair adds the row
-(b2, c_num, label), with p*C = c_num, read from its contracted substrings,
-the ``ContractedInterval``s (hits) of ``find_type_t_substrings`` or of
-``configuration``.  Every row, of a scan or of a point query, is
-``_row(p, pair, hits)``, the Artin row with no hits.
+(b2, c_num, label), with p*C = c_num, read from its contracted substrings
+(hits), each the plain tuple (start, stop, params) that
+``find_type_t_substrings`` or ``configuration`` returns.  Every row, of a
+scan or of a point query, is ``_row(p, pair, hits)``, the Artin row with
+no hits; ``_row`` is the one home of the row label.
 ``configuration_invariants`` turns one configuration into an
 ``InvariantReport``; it is the route for point queries and the CLI's point
 commands, and the reference for a scan, which builds its rows from pair
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .chains import (
     CyclicQuotient,
@@ -61,7 +62,6 @@ from .exact import cf_eval_pair, mod_inverse
 from .type_t import TypeTParams, recognize_type_t, type_t_string
 
 __all__ = [
-    "ContractedInterval",
     "ResolutionConfiguration",
     "InvariantReport",
     "artin_configuration",
@@ -75,28 +75,17 @@ __all__ = [
 ]
 
 
-class ContractedInterval(NamedTuple):
-    """A contracted substring chain[start..stop] (inclusive) with its params.
-
-    A plain named tuple, so it unpacks as (start, stop, params) and equals
-    the tuple of its fields.
-    """
-
-    start: int
-    stop: int
-    params: TypeTParams
-
-    def label(self) -> str:
-        return f"contract[{self.start}..{self.stop}]={self.params.label()}"
-
-
 @dataclass(frozen=True)
 class ResolutionConfiguration:
-    """A quotient, its minimal chain, and disjoint contracted type-T substrings."""
+    """A quotient, its minimal chain, and disjoint contracted type-T substrings.
+
+    Each contracted substring is the plain tuple (start, stop, params) of
+    chain[start..stop] (inclusive) and its T(r,s,d).
+    """
 
     quotient: CyclicQuotient
     chain: ResolutionChain
-    contracted: tuple[ContractedInterval, ...]
+    contracted: tuple[tuple[int, int, TypeTParams], ...]
 
 
 @dataclass(frozen=True)
@@ -130,14 +119,20 @@ def configuration(
     """Build a configuration contracting chain[a..b] for each (a, b).
 
     The intervals are taken in sorted order, and the contracted intervals
-    come back sorted by start.  Raises InvalidConfiguration if an interval
+    come back sorted by start, each as the tuple (a, b, params).  Raises
+    InvalidConfiguration if the intervals are not an iterable, an interval
     is not a tuple or list of two ints, an interval is out of bounds, the
     intervals overlap, or a substring is not a recognized type-T chain.
     The shape and type checks run first, in the order given; of several
     intervals that fail a later check, the first in sorted order is
     reported.  Recognition is O(length) per substring.
     """
-    intervals = list(intervals)  # read twice, so not a one-shot iterator
+    try:
+        intervals = list(intervals)  # read twice, so not a one-shot iterator
+    except TypeError as exc:
+        raise InvalidConfiguration(
+            f"intervals must be an iterable of pairs (a, b), got {intervals!r}"
+        ) from exc
     for interval in intervals:
         if not isinstance(interval, (tuple, list)) or len(interval) != 2:
             raise InvalidConfiguration(f"an interval must be a pair (a, b), got {interval!r}")
@@ -150,14 +145,14 @@ def configuration(
             raise InvalidConfiguration(
                 f"interval [{a}..{b}] out of bounds for chain of length {len(chain)}"
             )
-        if contracted and a <= contracted[-1].stop:
+        if contracted and a <= contracted[-1][1]:
             raise InvalidConfiguration(f"interval [{a}..{b}] overlaps another one")
         params = recognize_type_t(chain[a : b + 1])
         if params is None:
             raise InvalidConfiguration(
                 f"substring {chain[a : b + 1]} at [{a}..{b}] is not type T"
             )
-        contracted.append(ContractedInterval(a, b, params))
+        contracted.append((a, b, params))
     return ResolutionConfiguration(g, chain, tuple(contracted))
 
 
@@ -179,16 +174,17 @@ def _pair_record(p: int, q: int, chain: Sequence[int]) -> tuple:
     return q, chain, k, sum_e, q_inv, eta_num
 
 
-def _row(p: int, pair: tuple, hits: Sequence[ContractedInterval]) -> tuple[int, int, str]:
+def _row(p: int, pair: tuple, hits: Sequence[tuple]) -> tuple[int, int, str]:
     # (b2, c_num, label) of the configuration of a pair record with these
     # hits contracted: p*C = c_num.  b2 is the chain length k, and each hit
-    # trades its stop - start + 1 curves for the s - 1 classes of its
-    # smoothing.  The Artin label is a constant, so the most common row of a
-    # scan pays no join.
+    # (a, b, T(r,s,d)) trades its b - a + 1 curves for the s - 1 classes of
+    # its smoothing.  This is the one place a row label is written.  The
+    # Artin label is a constant, so the most common row of a scan pays no
+    # join.
     b2 = pair[2]
-    for start, stop, params in hits:
-        b2 += params.s - 2 - stop + start
-    label = "+".join(hit.label() for hit in hits) if hits else "artin"
+    for a, b, t in hits:
+        b2 += t.s - 2 - b + a
+    label = "+".join(f"contract[{a}..{b}]={t.label()}" for a, b, t in hits) if hits else "artin"
     return b2, (2 - b2) * p + 2 - pair[5], label
 
 
@@ -224,8 +220,9 @@ def configuration_invariants(cfg: ResolutionConfiguration) -> InvariantReport:
     return _report(p, pair, _row(p, pair, cfg.contracted))
 
 
-def find_type_t_substrings(chain: Sequence[int]) -> list[ContractedInterval]:
-    """Every type-T substring chain[start..stop], sorted by (start, stop).
+def find_type_t_substrings(chain: Sequence[int]) -> list[tuple[int, int, TypeTParams]]:
+    """Every type-T substring chain[start..stop] as the tuple (start, stop,
+    params), sorted by (start, stop).
 
     The chain must be minimal (every entry >= 2); otherwise NonMinimalChain
     is raised, as recognize_type_t does.  A type-T substring peels back to a
@@ -257,7 +254,7 @@ def find_type_t_substrings(chain: Sequence[int]) -> list[ContractedInterval]:
             walks.append((prev, i, 3, 3, 2, i - prev + 1, 1))
         prev = i
         if e == 4:
-            found.append(ContractedInterval(i, i, TypeTParams(2, 1, 1)))
+            found.append((i, i, TypeTParams(2, 1, 1)))
         elif e > 4:
             # The core (4) lies below the entry, so both first moves apply.
             if i > 0:
@@ -268,7 +265,7 @@ def find_type_t_substrings(chain: Sequence[int]) -> list[ContractedInterval]:
         while True:
             if v_left == chain[a]:
                 if v_right == chain[b]:
-                    found.append(ContractedInterval(a, b, TypeTParams(r, s, d)))
+                    found.append((a, b, TypeTParams(r, s, d)))
                     break
                 if a == 0:
                     break

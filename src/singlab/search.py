@@ -20,11 +20,11 @@ eta, so the unit computes them once per pair, as a pair record
 (q, chain, k, sum_e, q_inv, eta_num) whose eta numerator is checked
 against the Dedekind-sum eta there, once per pair.  A row adds only
 (b2, c_num, label), read from the pair record and its subset of the
-``ContractedInterval``s that the sweep returned, and no report is built
-per row.  The unit sorts each pair's rows by label, so the order in which
-the subsets are found does not matter; it counts the rows generated,
-applies the ``--dedup-conjugate`` and ``--positive`` filters, and turns
-the (p, pair, rows) records that are left into a part.
+(start, stop, params) tuples that the sweep returned, and no report is
+built per row.  The unit sorts each pair's rows by label, so the order in
+which the subsets are found does not matter; it counts the rows
+generated, applies the ``--dedup-conjugate`` and ``--positive`` filters,
+and turns the (p, pair, rows) records that are left into a part.
 For ``scan_pieces`` the part is that p's output already rendered by one of
 ``render.FORMATS`` into a str, so a worker process sends back text;
 ``render.stitch`` writes each part to an unnamed temporary file in $TMPDIR

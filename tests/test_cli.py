@@ -223,10 +223,10 @@ def test_search_failure_at_the_last_p_prints_nothing(capsys, monkeypatch):
     real_p_part = search._p_part
     raised = {}
 
-    def failing_p_part(p, query, part, resolve):
+    def failing_p_part(p, **kwargs):
         if p == 12:
             raise raised["error"](f"injected failure at p = {p}")
-        return real_p_part(p, query, part, resolve)
+        return real_p_part(p, **kwargs)
 
     monkeypatch.setattr(search, "_p_part", failing_p_part)
     argv = ("search", "--p-max", "12", "--workers", "1", "--format")

@@ -80,11 +80,11 @@ def test_configuration_validation():
         with pytest.raises(InvalidConfiguration):
             configuration(g2, overlap)
     cfg = configuration(g2, [(3, 3)])
-    assert cfg.contracted[0].params == TypeTParams(2, 1, 1)
+    assert cfg.contracted == ((3, 3, TypeTParams(2, 1, 1)),)
     # intervals come back sorted by start, whatever order they are given in
     g3 = chain_to_quotient(ResolutionChain((4, 3, 4)))
     cfg = configuration(g3, [(2, 2), (0, 0)])
-    assert [(iv.start, iv.stop) for iv in cfg.contracted] == [(0, 0), (2, 2)]
+    assert [(a, b) for a, b, _ in cfg.contracted] == [(0, 0), (2, 2)]
     # a bound must be an int, not a float or a bool
     for bounds in ((0.0, 1), (True, 1)):
         with pytest.raises(InvalidConfiguration, match="interval bound must be an integer"):
@@ -96,9 +96,13 @@ def test_configuration_validation():
     for malformed in ((0, 0, 0), (0,), 5, None):
         with pytest.raises(InvalidConfiguration, match="an interval must be a pair"):
             configuration(CyclicQuotient(7, 3), [malformed])
+    # the intervals themselves must be an iterable
+    for not_iterable in (None, 5):
+        with pytest.raises(InvalidConfiguration, match="intervals must be an iterable"):
+            configuration(CyclicQuotient(7, 3), not_iterable)
     # a list and a tuple sort together, and a one-shot iterator is read once
     cfg = configuration(g3, [[2, 2], (0, 0)])
-    assert [(iv.start, iv.stop) for iv in cfg.contracted] == [(0, 0), (2, 2)]
+    assert [(a, b) for a, b, _ in cfg.contracted] == [(0, 0), (2, 2)]
     assert configuration(g3, iter([(0, 0)])).contracted == ((0, 0, TypeTParams(2, 1, 1)),)
 
 
@@ -148,8 +152,16 @@ def test_find_type_t_substrings():
     # minimal chain with p <= 60 they agree interval by interval (and
     # recognize_type_t also runs the peeling check on each substring)
     for p, q in coprime_pairs(60):
-        chain = hj_resolve(CyclicQuotient(p, q))
-        assert find_type_t_substrings(chain) == _sweep_by_recognition(chain)
+        g = CyclicQuotient(p, q)
+        chain = hj_resolve(g)
+        found = find_type_t_substrings(chain)
+        assert found == _sweep_by_recognition(chain)
+        # each hit, and the substring a configuration contracts for it, is
+        # the plain tuple (start, stop, params), not a subclass of it
+        for hit in found:
+            for each in (hit, *configuration(g, [hit[:2]]).contracted):
+                assert type(each) is tuple
+                assert [type(x) for x in each] == [int, int, TypeTParams]
 
 
 def test_find_type_t_substrings_needs_minimal_chain():

@@ -9,7 +9,6 @@ MODULES = ("chains", "errors", "eta", "exact", "invariants", "search", "type_t")
 
 PUBLIC_NAMES = [
     "AtNode",
-    "ContractedInterval",
     "CyclicQuotient",
     "DivisionByZero",
     "FamilyClosedForm",
@@ -71,7 +70,7 @@ def _module(name):
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 54
     assert sorted(singlab.__all__) == PUBLIC_NAMES
     assert len(set(singlab.__all__)) == len(singlab.__all__)
 

@@ -372,7 +372,7 @@ def _builder_reports(g, cap):
     reports = [configuration_invariants(configuration(g, ()))]
     if cap:
         for chosen in _reference_subsets(find_type_t_substrings(chain), cap):
-            intervals = [(iv.start, iv.stop) for iv in chosen]
+            intervals = [(a, b) for a, b, _ in chosen]
             reports.append(configuration_invariants(configuration(g, intervals)))
     return sorted(reports, key=lambda row: row.label)
 
@@ -386,7 +386,7 @@ def test_scan_rows_match_the_validating_builder():
         chain = hj_resolve(g)
         for chosen in _disjoint_subsets(find_type_t_substrings(chain), 3):
             built = ResolutionConfiguration(g, chain, tuple(chosen))
-            assert built == configuration(g, [(iv.start, iv.stop) for iv in chosen])
+            assert built == configuration(g, [(a, b) for a, b, _ in chosen])
     # The scan's rows come from one pair record per pair, not from
     # configuration_invariants, which is the reference for every row.
     for mode, cap in {"artin-only": 0, "single-contraction": 1, "multi-contraction": 3}.items():
@@ -408,7 +408,7 @@ def test_scan_rows_match_the_validating_builder_at_large_p(p, q0):
     chain = hj_resolve(g)
     for chosen in _disjoint_subsets(find_type_t_substrings(chain), 3):
         built = ResolutionConfiguration(g, chain, tuple(chosen))
-        assert built == configuration(g, [(iv.start, iv.stop) for iv in chosen])
+        assert built == configuration(g, [(a, b) for a, b, _ in chosen])
 
 
 def test_sweep_checks_every_hit(monkeypatch):
@@ -781,7 +781,7 @@ def test_no_spool_file_outlives_the_scan(monkeypatch, tmp_path):
     real_p_part = search._p_part
     seen = {}
 
-    def spy_p_part(p, query, part, resolve):
+    def spy_p_part(p, **kwargs):
         if p == 12:
             seen["spools"] = [
                 target
@@ -790,7 +790,7 @@ def test_no_spool_file_outlives_the_scan(monkeypatch, tmp_path):
             ]
             if seen.get("error"):
                 raise seen["error"](f"injected failure at p = {p}")
-        return real_p_part(p, query, part, resolve)
+        return real_p_part(p, **kwargs)
 
     query = SearchQuery(p_max=12)
     rows = scan(query)
