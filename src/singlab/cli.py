@@ -3,8 +3,10 @@
 Exit codes: 0 on success, 2 on invalid arguments, 3 when the scan row-limit
 resource guard aborts, and 1, with nothing on stderr, when the reader closes
 stdout before the output is written (``singlab search ... | head -1``).  All
-flags are long-form.  Every ``search`` flag but ``--format`` is a field of
-``SearchQuery``, and a flag left out takes that field's default.
+flags are long-form.  ``resolve``, ``eta`` and ``invariants`` take the
+quotient (1/P)(1,Q) as the operands ``P Q``, declared once.  Every
+``search`` flag but ``--format`` is a field of ``SearchQuery``, and a flag
+left out takes that field's default.
 """
 
 from __future__ import annotations
@@ -32,22 +34,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_resolve = sub.add_parser("resolve", help="Hirzebruch-Jung chain of (1/P)(1,Q)")
-    p_resolve.add_argument("p", type=int)
-    p_resolve.add_argument("q", type=int)
+    # The operands P Q of the commands that take the quotient (1/P)(1,Q).
+    quotient = argparse.ArgumentParser(add_help=False)
+    quotient.add_argument("p", type=int)
+    quotient.add_argument("q", type=int)
 
-    p_eta = sub.add_parser("eta", help="eta invariant of the lens space S^3/(1/P)(1,Q)")
-    p_eta.add_argument("p", type=int)
-    p_eta.add_argument("q", type=int)
-    p_eta.add_argument(
-        "--method", choices=("exact", "cotangent", "both"), default="exact"
+    sub.add_parser("resolve", parents=[quotient], help="Hirzebruch-Jung chain of (1/P)(1,Q)")
+
+    p_eta = sub.add_parser(
+        "eta", parents=[quotient], help="eta invariant of the lens space S^3/(1/P)(1,Q)"
     )
+    p_eta.add_argument("--method", choices=("exact", "cotangent", "both"), default="exact")
 
     p_inv = sub.add_parser(
-        "invariants", help="invariant report of (1/P)(1,Q) with optional contractions"
+        "invariants",
+        parents=[quotient],
+        help="invariant report of (1/P)(1,Q) with optional contractions",
     )
-    p_inv.add_argument("p", type=int)
-    p_inv.add_argument("q", type=int)
     p_inv.add_argument(
         "--contract",
         action="append",
@@ -111,10 +114,11 @@ def _parse_entries(text: str) -> ResolutionChain:
 
 
 def _run(args: argparse.Namespace, out) -> int:
+    # The quotient of the commands that take P Q, built once for all of them.
+    g = CyclicQuotient(args.p, args.q) if "p" in args else None
     if args.command == "resolve":
-        out.write(chain_text(hj_resolve(CyclicQuotient(args.p, args.q))) + "\n")
+        out.write(chain_text(hj_resolve(g)) + "\n")
     elif args.command == "eta":
-        g = CyclicQuotient(args.p, args.q)
         both = args.method == "both"
         if args.method in ("exact", "both"):
             exact = eta_exact(g)
@@ -125,7 +129,6 @@ def _run(args: argparse.Namespace, out) -> int:
         if both:
             out.write(f"difference {abs(cotangent - float(exact)):.3e}\n")
     elif args.command == "invariants":
-        g = CyclicQuotient(args.p, args.q)
         cfg = configuration(g, [_parse_interval(t) for t in args.contract])
         out.write(render_table([configuration_invariants(cfg)]))
     elif args.command == "typet":
@@ -133,8 +136,7 @@ def _run(args: argparse.Namespace, out) -> int:
             params = recognize_type_t(_parse_entries(args.entries))
             out.write((params.label() if params else "not type T") + "\n")
         else:
-            entries = enumerate_type_t(args.r_max, args.s_max)
-            for params, chain in entries:
+            for params, chain in enumerate_type_t(args.r_max, args.s_max):
                 out.write(f"{params.label()} {chain_text(chain)}\n")
     elif args.command == "family":
         report, _closed = attach_family(args.curves, args.r, args.s, args.d)
@@ -155,9 +157,8 @@ def _run(args: argparse.Namespace, out) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
@@ -169,12 +170,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except RowLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SinglabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, RowLimitExceeded) else 2
 
 
 if __name__ == "__main__":

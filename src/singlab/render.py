@@ -23,7 +23,8 @@ of its own, so the read-back still holds one line at a time.
 $TMPDIR, the spool, and a spool that cannot be created or written raises
 ``SinglabError``; a caller can write the pieces one at a time, so no joined
 copy of the output is built.  ``render_<fmt>(rows)`` renders invariant
-reports as one part and reads it in memory, so it never touches $TMPDIR.
+reports as one part and reads it in memory, so it never touches $TMPDIR;
+``render_table`` refuses a report whose label holds a tab or a newline.
 Each row format and each reader is written once.
 """
 
@@ -224,6 +225,12 @@ def _read_table(spool) -> Iterator[str]:
 
 
 def render_table(rows: Iterable[InvariantReport]) -> str:
+    # A tab or a newline in a label would split its line into other cells
+    # and lines; the scan's labels never hold one, so table_part does not look.
+    rows = list(rows)
+    for row in rows:
+        if "\t" in row.label or "\n" in row.label:
+            raise SinglabError(f"a table label holds a tab or a newline: {row.label!r}")
     return _render("table", rows)
 
 

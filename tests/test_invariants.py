@@ -148,9 +148,9 @@ def test_find_type_t_substrings():
         assert chain_to_quotient(
             ResolutionChain((3, 2, 4, 2, 4)[a : b + 1])
         ) == type_t_group(params)
-    # the sweep and recognize_type_t share one arithmetic test; on every
-    # minimal chain with p <= 60 they agree interval by interval (and
-    # recognize_type_t also runs the peeling check on each substring)
+    # on every pair with p <= 60, the sweep equals recognition interval by
+    # interval: recognize_type_t on each substring of the chain, which also
+    # runs the peeling check on it
     for p, q in coprime_pairs(60):
         g = CyclicQuotient(p, q)
         chain = hj_resolve(g)

@@ -338,6 +338,18 @@ def test_a_report_off_its_denominators_is_a_singlab_error():
             render_fmt([replace(report, c_value=Fraction(1, 3))])
 
 
+def test_a_table_label_with_a_tab_or_a_newline_is_a_singlab_error():
+    # A tab or a newline in a label would split the table's cells or lines,
+    # so render_table refuses the report; CSV and JSON quote such a label.
+    report = scan(SearchQuery(p_max=7))[-1]
+    for label in ("a\tb", "a\nb"):
+        bad = replace(report, label=label)
+        with pytest.raises(SinglabError, match=re.escape(f"or a newline: {label!r}")):
+            render_table([report, bad])
+        assert json.loads(render_json([bad]))[0]["label"] == label
+        assert list(csv.DictReader(io.StringIO(render_csv([bad]))))[0]["label"] == label
+
+
 def _reference_subsets(hits, cap):
     # The nonempty subsets of at most cap hits, sorted by start, in which
     # each interval stops before the next one starts: the reference for

@@ -4,9 +4,10 @@ Each line holds the command's arguments, the sha256 of its stdout, the
 sha256 of its stderr and its exit code.  The set is every ``search`` mode x
 format x {no filter, --positive, --dedup-conjugate, both} x --workers 1 and
 2 at ``--p-max``, one ``--max-contractions 2`` scan per format, then the
-point commands and the invalid calls whose bytes the library keeps stable,
-then ``search --p-max 10`` (31 generated rows) under each value of
-``SINGLAB_ROW_LIMIT`` in ``ROW_LIMITS``, whose lines start with the
+point commands, then the help and invalid calls whose bytes the library
+keeps stable (the ``--help`` of ``search`` and of each command that takes
+``P Q``), then ``search --p-max 10`` (31 generated rows) under each value
+of ``SINGLAB_ROW_LIMIT`` in ``ROW_LIMITS``, whose lines start with the
 variable.  Every other run has no ``SINGLAB_ROW_LIMIT``.  Run it from the
 root of a checkout; it runs that checkout's ``python -m singlab.cli`` with
 ``PYTHONPATH=src``:
@@ -46,6 +47,9 @@ POINT_COMMANDS = (
 
 ERROR_COMMANDS = (
     ("search", "--help"),
+    ("resolve", "--help"),
+    ("eta", "--help"),
+    ("invariants", "--help"),
     ("search", "--p-max", "1"),
     ("search", "--p-max", "10", "--workers", "0"),
     ("search", "--p-max", "10", "--max-contractions", "0"),
